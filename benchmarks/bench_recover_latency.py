@@ -1,17 +1,17 @@
-"""Single-word ``recover()`` latency: precompiled vs memoized vs uncached.
+"""Single-word ``recover()`` latency: precompiled vs uncached.
 
 The service-throughput benchmark exercises the batched HTTP path; this
-one isolates the engine itself.  Three engine configurations recover
+one isolates the engine itself.  Two engine configurations recover
 the same kind of double-bit-error words (mcf image, all 741 patterns)
 under one stable instruction-memory context:
 
-- ``uncached``     — ``SwdEcc(cache=False)``, measured over *distinct*
-  words with the module-level decoder memo cleared before every pass,
-  so every call pays full enumeration + decode + filter + rank cost;
-- ``memoized``     — ``SwdEcc(cache=True)`` (the pre-table default),
-  measured steady-state after a warm-up pass;
-- ``precompiled``  — ``SwdEcc(precompile=True)``, the syndrome decode
-  table fast path, also measured steady-state.
+- ``uncached``     — ``SwdEcc(cache=False)``, the reference pipeline,
+  measured over *distinct* words with the module-level decoder memo
+  cleared before every pass, so every call pays full enumeration +
+  decode + filter + rank cost;
+- ``precompiled``  — ``SwdEcc()`` (the default, cached engine on the
+  code's shared syndrome decode table), measured steady-state after a
+  warm-up pass.
 
 Throughput is gated on the *minimum* per-call time across several
 tight untimed-loop passes — the noise-robust estimator on a shared
@@ -53,7 +53,7 @@ WORDS_PER_PASS = 4 * 741
 PASSES = 5
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_recover.json"
 
-MODES = ("uncached", "memoized", "precompiled")
+MODES = ("uncached", "precompiled")
 
 
 def _append_history(record) -> None:
@@ -89,14 +89,9 @@ def _due_word_sets(code, image) -> list[list[int]]:
 
 
 def _engine(mode: str, code) -> SwdEcc:
-    if mode == "uncached":
-        return SwdEcc(
-            code, tie_break=TieBreak.FIRST, rng=random.Random(0), cache=False
-        )
-    if mode == "memoized":
-        return SwdEcc(code, tie_break=TieBreak.FIRST, rng=random.Random(0))
     return SwdEcc(
-        code, tie_break=TieBreak.FIRST, rng=random.Random(0), precompile=True
+        code, tie_break=TieBreak.FIRST, rng=random.Random(0),
+        cache=mode == "precompiled",
     )
 
 
@@ -111,11 +106,11 @@ def _measure(mode: str, code, word_sets, context):
     engine = _engine(mode, code)
     recover = engine.recover
     if mode != "uncached":
-        for word in word_sets[0]:  # warm-up: memo / rows / table hits
+        for word in word_sets[0]:  # warm-up: decision rows
             recover(word, context)
     best_per_call = None
     for word_pass in range(PASSES):
-        # Steady-state modes re-measure one warm set; uncached walks a
+        # The cached mode re-measures one warm set; uncached walks a
         # fresh distinct set each pass with the decoder memo cleared.
         words = word_sets[0] if mode != "uncached" else word_sets[word_pass]
         if mode == "uncached":

@@ -6,9 +6,9 @@ three engine configurations:
 
 - **serial-uncached** — all memoization disabled (``cache=False``),
   the cost model of the original implementation;
-- **memoized** — syndrome-keyed enumeration plus filter/ranker context
-  caches (the default configuration);
-- **parallel** — memoized engines fanned out over worker processes
+- **memoized** — the default cached engine: decode-table-vectorized
+  pattern kernel plus filter/ranker context caches;
+- **parallel** — cached engines fanned out over worker processes
   (``jobs=2``; chunk setup dominates on small hosts, so no scaling is
   asserted — the parallel row is recorded for cross-host comparison).
 

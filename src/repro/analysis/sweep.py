@@ -5,14 +5,16 @@ applied to each of the first 100 instructions of each benchmark, runs
 the recovery heuristic, and reports per-pattern success rates.  This
 module runs that sweep for any (code, strategy, images) combination.
 
-Success is measured with
-:meth:`repro.core.swdecc.SwdEcc.recovery_probability` — the exact
-probability that the strategy picks the original message — rather than
-a single sampled tie-break, so sweep output is deterministic and equals
-the expectation of the paper's sampled procedure.
+Success is measured as the exact probability that the strategy picks
+the original message — :meth:`repro.core.swdecc.SwdEcc.sweep_probabilities`
+on cached engines, :func:`repro.core.swdecc.success_probability` over
+per-word :meth:`~repro.core.swdecc.SwdEcc.recover` traces on the
+uncached reference — rather than a single sampled tie-break, so sweep
+output is deterministic and equals the expectation of the paper's
+sampled procedure.
 
 Two acceleration layers sit under the sweep (see
-``docs/performance.md``): the engine's syndrome-memoized enumeration
+``docs/performance.md``): the decode-table-vectorized pattern kernel
 and filter/rank caches make the serial path fast, and ``jobs > 1``
 fans pattern chunks out over worker processes with a deterministic
 merge — parallel results are bit-identical to serial ones, and worker
@@ -67,7 +69,6 @@ def _engine_for(
     strategy: RecoveryStrategy,
     code: LinearBlockCode,
     cache: bool = True,
-    precompile: bool = False,
 ) -> SwdEcc:
     # The sweep consumes exact probabilities, so the tie-break RNG is
     # never sampled; a fixed instance keeps construction cheap.
@@ -75,7 +76,6 @@ def _engine_for(
     if strategy is RecoveryStrategy.RANDOM_CANDIDATE:
         return SwdEcc(
             code, filters=(), ranker=UniformRanker(), rng=rng, cache=cache,
-            precompile=precompile,
         )
     if strategy is RecoveryStrategy.FILTER_ONLY:
         return SwdEcc(
@@ -84,7 +84,6 @@ def _engine_for(
             ranker=UniformRanker(),
             rng=rng,
             cache=cache,
-            precompile=precompile,
         )
     return SwdEcc(
         code,
@@ -93,7 +92,6 @@ def _engine_for(
         tie_break=TieBreak.RANDOM,
         rng=rng,
         cache=cache,
-        precompile=precompile,
     )
 
 
@@ -145,14 +143,9 @@ class DueSweep:
         Error patterns to apply; defaults to all C(n, 2) double-bit
         patterns in paper order.
     cache:
-        Enable the engine's memoization layers (default); disable only
-        for uncached baseline measurements.
-    precompile:
-        Build the engine's full syndrome decode table before sweeping
-        (see :meth:`SwdEcc.precompile`).  Results are bit-identical
-        either way; the sweep's vectorized kernel already amortizes
-        enumeration per pattern, so this mainly helps the uncached-
-        comparison and recover_batch paths.
+        Sweep with a cached engine through the vectorized pattern
+        kernel (default); ``False`` recovers word by word on the
+        uncached reference engine (the baseline and test oracle).
     """
 
     def __init__(
@@ -162,7 +155,6 @@ class DueSweep:
         num_instructions: int = 100,
         patterns: Sequence[ErrorPattern] | None = None,
         cache: bool = True,
-        precompile: bool = False,
     ) -> None:
         if num_instructions < 1:
             raise AnalysisError(
@@ -172,7 +164,6 @@ class DueSweep:
         self._strategy = strategy
         self._num_instructions = num_instructions
         self._cache = cache
-        self._precompile = precompile
         self._patterns = (
             tuple(patterns) if patterns is not None
             else tuple(double_bit_patterns(code.n))
@@ -182,9 +173,7 @@ class DueSweep:
                 raise AnalysisError(
                     f"pattern width {pattern.width} != code length {code.n}"
                 )
-        self._engine = _engine_for(
-            strategy, code, cache=cache, precompile=precompile
-        )
+        self._engine = _engine_for(strategy, code, cache=cache)
 
     @property
     def patterns(self) -> tuple[ErrorPattern, ...]:
@@ -321,7 +310,7 @@ class DueSweep:
             if jobs > 1 and len(self._patterns) > 1:
                 payloads = [
                     (self._code, self._strategy, self._num_instructions,
-                     self._cache, self._precompile, image, chunk)
+                     self._cache, image, chunk)
                     for chunk in chunk_evenly(self._patterns, jobs)
                 ]
                 outcomes = [
@@ -392,11 +381,8 @@ def _sweep_chunk_worker(payload) -> list[PatternOutcome]:
     with fresh caches) from plain data because engines hold
     process-local metric objects that must bind to the worker registry.
     """
-    code, strategy, num_instructions, cache, precompile, image, patterns = (
-        payload
-    )
+    code, strategy, num_instructions, cache, image, patterns = payload
     sweep = DueSweep(
-        code, strategy, num_instructions, patterns=patterns, cache=cache,
-        precompile=precompile,
+        code, strategy, num_instructions, patterns=patterns, cache=cache
     )
     return sweep._outcomes_for(image, patterns)

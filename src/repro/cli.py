@@ -156,12 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--seed", type=int, default=2016,
                        help="benchmark synthesis seed (pins the image)")
     sweep.add_argument("--no-cache", action="store_true",
-                       help="disable memoization and sweep word-by-word "
-                            "(slow reference path; logs every DUE event)")
-    sweep.add_argument("--precompile", action=argparse.BooleanOptionalAction,
-                       default=False,
-                       help="build the full syndrome decode table before "
-                            "sweeping (bit-identical results)")
+                       help="sweep word-by-word on the uncached reference "
+                            "engine (slow; logs every DUE event)")
     sweep.add_argument("--json", action="store_true",
                        help="emit machine-readable JSON results")
 
@@ -312,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     recovery.add_argument("--precompile",
                           action=argparse.BooleanOptionalAction,
                           default=True,
-                          help="pre-warm engines with precompiled syndrome "
+                          help="serve from cached engines on shared syndrome "
                           "decode tables (per worker; bit-identical "
                           "answers — disable to serve via the reference "
                           "path)")
@@ -483,10 +479,6 @@ def _command_mbu(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    if args.no_cache and args.precompile:
-        print("sweep: --precompile requires caching (drop --no-cache)",
-              file=sys.stderr)
-        return 2
     code = default_code()
     image = synthesize_benchmark(
         args.benchmark, length=args.length, seed=args.seed
@@ -494,7 +486,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
     sweep = DueSweep(
         code, RecoveryStrategy(args.strategy), args.instructions,
         cache=not args.no_cache,
-        precompile=args.precompile,
     )
     progress = _progress_for(args)
     result = sweep.run(image, jobs=args.jobs, progress=progress)

@@ -1,40 +1,46 @@
-"""Precompiled syndrome decode tables: the DUE space, materialized.
+"""Syndrome decode tables: the DUE space, materialized once per code.
 
 For a fixed (n, k) code the entire double-bit-DUE space is tiny — all
 C(n, 2) column pairs of H map onto at most ``2^r`` distinct syndromes
 (63 for the paper's (39, 32) SECDED code) — and both the flip-mask set
 and the candidate *message offsets* of a DUE are pure functions of its
-syndrome, never of the received word (the GF(2)-linearity trick
-``SwdEcc.sweep_probabilities`` exploits per pattern).  This module
-builds that whole mapping once, eagerly:
+syndrome, never of the received word.  This module builds that whole
+mapping once, eagerly:
 
-- ``syndrome -> DecodeEntry`` with the flip masks (bit-identical, in
-  the same order, to what ``CandidateEnumerator.pair_masks`` would
-  memoize lazily), the k-bit message offsets ``mask >> r``, and a
-  reverse ``offset -> mask`` index so a chosen message maps back to
-  its codeword in O(1);
+- ``syndrome -> DecodeEntry`` with the flip masks (the same tuples, in
+  the same order, as the reference walk
+  :func:`repro.ecc.candidates.pair_walk`), the k-bit message offsets
+  ``mask >> r``, and a reverse ``offset -> mask`` index so a chosen
+  message maps back to its codeword in O(1);
 - chunked syndrome lookup tables (``ceil(n / 13)`` tables of at most
   8192 entries) that turn the per-word ``H @ r`` multiply into a few
   list probes and XORs.
+
+A table is a pure function of its code, so :meth:`DecodeTable.for_code`
+shares one per code *instance* through a weak-keyed map: every cached
+engine over that code reads the same table, and the table leaves with
+its code.  It is deliberately not stored on the code object, which is
+pickled to parallel-sweep workers.
 
 Build cost is charged to the ``ops.*`` energy counters once, here, so
 per-recovery charges on the fast path can reflect only the probes a
 lookup actually performs while the op-accounting stays additive.
 
-The table is safe to *install* on any code (``pair_masks`` delegation
-reproduces the lazy walk exactly), but the engine-side fast path
-additionally requires :attr:`DecodeTable.supports_fast_path` — the
-structural guards against exotic code subclasses that override
-``syndrome``/``extract_message``, the same conservative posture as the
-``sweep_probabilities`` linearity guard.
+The engine-side single-word fast path additionally requires
+:attr:`DecodeTable.supports_fast_path` — structural guards against
+exotic code subclasses that override ``syndrome``/``extract_message``
+and against codes whose DUE class is wider than double-bit errors.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 import time
+import weakref
 
 from repro.bits import bit_mask
+from repro.ecc.candidates import pair_walk
 from repro.ecc.code import LinearBlockCode
 from repro.errors import DecodingError
 from repro.obs import metrics as obs_metrics
@@ -49,6 +55,12 @@ _CHUNK_BITS = 13
 #: Words spot-checked against ``code.syndrome`` at build time.
 _VERIFY_WORDS = 8
 
+#: ``code -> DecodeTable``, one per live code instance (see
+#: :meth:`DecodeTable.for_code`).  Tables reference their code only
+#: weakly, so an entry dies with its code.
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_SHARED_LOCK = threading.Lock()
+
 
 class DecodeEntry:
     """One syndrome's precompiled candidate set."""
@@ -57,7 +69,7 @@ class DecodeEntry:
 
     def __init__(self, syndrome: int, masks: tuple[int, ...], r: int) -> None:
         self.syndrome = syndrome
-        #: Flip masks, in ``CandidateEnumerator.pair_masks`` order.
+        #: Flip masks, in :func:`~repro.ecc.candidates.pair_walk` order.
         self.masks = masks
         #: Candidate message offsets ``mask >> r``, same order: the
         #: candidate messages of a received word are ``(received >> r)
@@ -71,11 +83,12 @@ class DecodeEntry:
 class DecodeTable:
     """The complete syndrome→candidates decode table of one code.
 
-    Building enumerates every unordered column pair of H once (the
-    work the lazy enumerator would spread over per-syndrome misses)
-    and materializes chunked syndrome tables, so a single-word
+    Building enumerates every unordered column pair of H once and
+    materializes chunked syndrome tables, so a single-word
     ``recover()`` becomes syndrome XOR + table probe + (cached) rank +
-    choose.  Exported via ``repro.obs``:
+    choose.  Engines obtain the shared instance through
+    :meth:`for_code`; constructing one directly always builds afresh.
+    Exported via ``repro.obs``:
 
     - ``decode_table.builds`` / ``decode_table.entries`` /
       ``decode_table.pair_masks`` / ``decode_table.resident_bytes``
@@ -85,7 +98,7 @@ class DecodeTable:
 
     def __init__(self, code: LinearBlockCode) -> None:
         start_ns = time.perf_counter_ns()
-        self._code = code
+        self._code_ref = weakref.ref(code)
         n = code.n
         r = n - code.k
         self._n = n
@@ -94,26 +107,20 @@ class DecodeTable:
         columns = code.column_syndromes
         syndrome_to_position = code.syndrome_to_position
 
-        # --- syndrome -> flip masks, via the lazy walk's own algorithm
-        # (identical tuples, identical order) run once per reachable
-        # syndrome instead of once per cache miss.
+        # --- syndrome -> flip masks: the reference walk, run once per
+        # reachable syndrome.
         pair_syndromes: set[int] = set()
         for i in range(n):
             column_i = columns[i]
             for j in range(i + 1, n):
                 pair_syndromes.add(column_i ^ columns[j])
-        top_bit = 1 << (n - 1)
         entries: dict[int, DecodeEntry] = {}
         num_pairs = 0
         for syndrome in pair_syndromes:
-            found = []
-            for position, column in enumerate(columns):
-                partner = syndrome_to_position.get(syndrome ^ column)
-                if partner is not None and partner > position:
-                    found.append((top_bit >> position) | (top_bit >> partner))
-            if found:
-                entries[syndrome] = DecodeEntry(syndrome, tuple(found), r)
-                num_pairs += len(found)
+            masks = pair_walk(columns, syndrome_to_position, syndrome)
+            if masks:
+                entries[syndrome] = DecodeEntry(syndrome, masks, r)
+                num_pairs += len(masks)
         self._entries = entries
 
         # --- chunked syndrome lookup: XOR of per-chunk partial
@@ -133,10 +140,10 @@ class DecodeTable:
             chunks.append((low, bit_mask(width), table))
         self._chunks = tuple(chunks)
 
-        # --- fast-path guards (the sweep_probabilities posture): the
-        # shift-based offsets and chunked syndromes replicate the *base
-        # class* semantics, so a subclass overriding either method gets
-        # the reference path, not a wrong answer.
+        # --- fast-path guards: the shift-based offsets and chunked
+        # syndromes replicate the *base class* semantics, so a subclass
+        # overriding either method gets the reference path, not a wrong
+        # answer.
         self.linear_extract = (
             type(code).extract_message is LinearBlockCode.extract_message
         )
@@ -144,7 +151,7 @@ class DecodeTable:
         if exact_syndrome:
             probe = 0x9E3779B97F4A7C15 & self._word_mask
             for _ in range(_VERIFY_WORDS):
-                if self._syndrome_unchecked(probe) != code.syndrome(probe):
+                if self.syndrome_of(probe) != code.syndrome(probe):
                     exact_syndrome = False
                     break
                 probe = (probe * 6364136223846793005 + 1442695040888963407) & self._word_mask
@@ -157,7 +164,7 @@ class DecodeTable:
         # of H columns).  An engine whose code corrects t >= 2 bits
         # (DEC/DECTED BCH) treats *triple*-bit patterns as its DUE
         # class, so serving it from 2-bit cosets would shadow the
-        # wider enumeration — demote such codes to the lazy path.
+        # wider enumeration — demote such codes to the reference path.
         self.radius_one = code.correctable_bits() == 1
         #: True when the engine may serve recoveries straight from this
         #: table; False falls back to the word-by-word reference path.
@@ -200,15 +207,25 @@ class DecodeTable:
             "ops.xor", help="Modeled GF(2) XOR word operations"
         ).inc(len(pair_syndromes) * n + chunk_xors)
 
-    @property
-    def code(self) -> LinearBlockCode:
-        """The code this table was built for."""
-        return self._code
+    @classmethod
+    def for_code(cls, code: LinearBlockCode) -> "DecodeTable":
+        """The shared table of *code*, built on first request.
+
+        One build per code instance per process, however many engines
+        use it; the build's metrics and op charges land in the registry
+        active at that first request.
+        """
+        with _SHARED_LOCK:
+            table = _SHARED.get(code)
+            if table is None:
+                table = cls(code)
+                _SHARED[code] = table
+            return table
 
     @property
-    def num_chunks(self) -> int:
-        """Number of syndrome-lookup chunks (probes per word)."""
-        return len(self._chunks)
+    def code(self) -> LinearBlockCode | None:
+        """The code this table was built for (``None`` once collected)."""
+        return self._code_ref()
 
     @property
     def chunks(self) -> tuple[tuple[int, int, list[int]], ...]:
@@ -238,12 +255,6 @@ class DecodeTable:
             total += sum(sys.getsizeof(value) for value in table)
         return total
 
-    def _syndrome_unchecked(self, received: int) -> int:
-        syndrome = 0
-        for low, mask, table in self._chunks:
-            syndrome ^= table[(received >> low) & mask]
-        return syndrome
-
     def syndrome_of(self, received: int) -> int:
         """The r-bit syndrome of *received*, by chunked table lookup.
 
@@ -265,9 +276,8 @@ class DecodeTable:
         return self._entries.get(syndrome)
 
     def pair_masks(self, syndrome: int) -> tuple[int, ...]:
-        """Drop-in for ``CandidateEnumerator.pair_masks``: identical
-        tuples in identical order, for *every* syndrome (an absent
-        entry means no pair produces it, so the walk would find none).
-        """
+        """What :func:`~repro.ecc.candidates.pair_walk` returns for
+        *syndrome*, for *every* syndrome (an absent entry means no pair
+        produces it, so the walk would find none)."""
         entry = self._entries.get(syndrome)
         return entry.masks if entry is not None else ()

@@ -1,7 +1,7 @@
 """Micro-batching over a bounded queue with explicit backpressure.
 
 The recovery engine is fastest when it drains many words back-to-back
-(syndrome memoization, context-cache locality), but service requests
+(warm decision rows, context-cache locality), but service requests
 arrive one at a time.  :class:`RecoveryBatcher` sits between the two:
 
 - **Bounded queue** — ``submit`` either enqueues or raises

@@ -80,11 +80,12 @@ class ServiceCatalog:
         defaults match the CLI's, so service answers line up with
         ``repro recover``-style offline runs.
     precompile:
-        Build each engine's syndrome decode table when the engine is
-        built (default).  Precompiled answers are bit-identical to
-        reference ones (``SwdEcc.precompile``), so this is purely a
-        latency/CPU trade: ~10 ms once per engine per worker versus a
-        table-lookup hot path on every recovery.
+        Serve from cached engines (default), which read the code's
+        shared syndrome decode table (``SwdEcc.precompile``); ``False``
+        serves from uncached reference engines.  Answers are
+        bit-identical either way, so this is purely a latency/CPU
+        trade: ~10 ms once per code per worker versus a table-lookup
+        hot path on every recovery.
     """
 
     def __init__(
@@ -118,7 +119,7 @@ class ServiceCatalog:
 
     @property
     def precompile(self) -> bool:
-        """Whether engines are built with precompiled decode tables."""
+        """Whether engines are cached (decode table) or reference ones."""
         return self._precompile
 
     # ------------------------------------------------------------------
@@ -262,8 +263,7 @@ class ServiceCatalog:
                     code,
                     tie_break=TieBreak.FIRST,
                     rng=random.Random(0),
-                    cache=True,
-                    precompile=self._precompile,
+                    cache=self._precompile,
                 )
                 self._engines[code_id] = engine
             return engine

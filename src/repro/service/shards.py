@@ -98,8 +98,8 @@ class ShardSpec(NamedTuple):
     contexts: tuple[tuple[str, RecoveryContext], ...] = ()
     report_cost: bool = False
     result_cache_limit: int = DEFAULT_RESULT_CACHE_LIMIT
-    #: Pre-warm each worker's engines with precompiled syndrome decode
-    #: tables (mirrors ServiceCatalog's flag; built during the shard
+    #: Serve from cached engines on decode tables (mirrors
+    #: ServiceCatalog's flag; tables are built during the shard
     #: initializer, before the shard serves its first batch).
     precompile: bool = True
 

@@ -2,7 +2,7 @@
 
 The acceleration contract (see ``docs/performance.md``) has two halves:
 
-- results: a ``jobs > 1`` sweep — and the memoized/vectorized serial
+- results: a ``jobs > 1`` sweep — and the table-vectorized serial
   path itself — must be *bit-identical* to the uncached per-word
   reference implementation;
 - observability: worker-process metric deltas must fold back into the
@@ -17,13 +17,24 @@ from repro.analysis.experiments import run_fig6
 from repro.analysis.parallel import chunk_evenly, parallel_map
 from repro.analysis.resilience import ResilienceConfig, survival_study
 from repro.analysis.sweep import DueSweep, RecoveryStrategy
+from repro.ecc import canonical_secded_39_32
+from repro.ecc.bch import dec_code
 from repro.ecc.channel import double_bit_patterns
+from repro.ecc.daec import daec_code
 from repro.errors import AnalysisError
 from repro.obs import metrics as obs_metrics
 
 JOBS = 4
 WINDOW = 4
 NUM_PATTERNS = 48  # a prefix of the 741: enough syndrome variety, fast
+#: Codes whose default sweep must match the reference: the paper's
+#: SECDED, DAEC (table fast path) and DEC (t = 2: the single-word fast
+#: path is demoted, but the sweep still vectorizes its pair cosets).
+CODE_FACTORIES = {
+    "secded-39-32": canonical_secded_39_32,
+    "daec-41-32": daec_code,
+    "dec-44-32": dec_code,
+}
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +42,13 @@ def patterns(code):
     return tuple(double_bit_patterns(code.n))[:NUM_PATTERNS]
 
 
-def _run(code, image, patterns, *, cache=True, jobs=1):
+def _run(
+    code, image, patterns, *, cache=True, jobs=1,
+    strategy=RecoveryStrategy.FILTER_AND_RANK,
+):
     sweep = DueSweep(
         code,
-        RecoveryStrategy.FILTER_AND_RANK,
+        strategy,
         num_instructions=WINDOW,
         patterns=patterns,
         cache=cache,
@@ -64,11 +78,19 @@ class TestBitIdentical:
         parallel = _run(code, mcf_image, patterns, jobs=JOBS)
         assert parallel == serial  # outcomes, ordering, window, name
 
+    @pytest.mark.parametrize(
+        "strategy", list(RecoveryStrategy), ids=lambda s: s.value
+    )
+    @pytest.mark.parametrize("code_id", list(CODE_FACTORIES))
     def test_memoized_fast_path_equals_uncached_reference(
-        self, code, mcf_image, patterns
+        self, code_id, strategy, mcf_image
     ):
-        fast = _run(code, mcf_image, patterns, cache=True)
-        reference = _run(code, mcf_image, patterns, cache=False)
+        code = CODE_FACTORIES[code_id]()
+        patterns = tuple(double_bit_patterns(code.n))[:NUM_PATTERNS]
+        fast = _run(code, mcf_image, patterns, cache=True, strategy=strategy)
+        reference = _run(
+            code, mcf_image, patterns, cache=False, strategy=strategy
+        )
         assert fast.outcomes == reference.outcomes
 
     def test_run_many_parallel_equals_serial(

@@ -1,7 +1,8 @@
 """Precompiled decode tables: bit-identity, fallbacks, and bounds.
 
-The fast path's contract is *bit-identity*: a precompiled engine must
-return results indistinguishable from the reference pipeline — same
+The fast path's contract is *bit-identity*: a default (cached) engine,
+which reads the code's shared decode table, must return results
+indistinguishable from the ``cache=False`` reference pipeline — same
 fields, same tie-break RNG consumption, same exceptions with the same
 messages — across every double-bit syndrome, plus clean bypasses for
 everything the table does not cover (radius escalation) and clean
@@ -11,8 +12,11 @@ interop for everything downstream (equality, hashing, pickling).
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -43,12 +47,12 @@ IMAGE = synthesize_benchmark("mcf", length=512, seed=2016)
 CONTEXT = RecoveryContext.for_instructions(FrequencyTable.from_image(IMAGE))
 
 
-def _engines(tie_break=TieBreak.FIRST, seed=0):
-    """An identically configured (precompiled, reference) engine pair."""
-    fast = SwdEcc(
-        CODE, tie_break=tie_break, rng=random.Random(seed), precompile=True
+def _engines(tie_break=TieBreak.FIRST, seed=0, code=CODE):
+    """An identically configured (default, reference) engine pair."""
+    fast = SwdEcc(code, tie_break=tie_break, rng=random.Random(seed))
+    reference = SwdEcc(
+        code, tie_break=tie_break, rng=random.Random(seed), cache=False
     )
-    reference = SwdEcc(CODE, tie_break=tie_break, rng=random.Random(seed))
     assert fast.precompiled and not reference.precompiled
     return fast, reference
 
@@ -68,8 +72,9 @@ def test_table_covers_all_double_bit_syndromes():
 
 
 def test_table_pair_masks_match_lazy_enumerator():
+    """The table holds exactly what the reference walk finds."""
     table = DecodeTable(CODE)
-    lazy = CandidateEnumerator(CODE)
+    lazy = CandidateEnumerator(CODE)  # no table: walks H per call
     seen = set()
     for pattern in PATTERNS:
         syndrome = CODE.syndrome(pattern)
@@ -91,11 +96,55 @@ def test_chunked_syndrome_matches_code(received):
     assert table.syndrome_of(received) == CODE.syndrome(received)
 
 
-def test_install_table_rejects_foreign_code():
+def test_table_rejects_foreign_code():
     table = DecodeTable(CODE)
-    enumerator = CandidateEnumerator(hsiao_39_32())
     with pytest.raises(DecodingError, match="different code"):
-        enumerator.install_table(table)
+        CandidateEnumerator(hsiao_39_32(), table)
+
+
+def test_one_shared_table_per_code_instance():
+    """Engines over one code share its table; another instance of the
+    same code gets its own; the table is not stored on the code (which
+    is pickled to sweep workers) and dies with it."""
+    code = canonical_secded_39_32()
+    table = DecodeTable.for_code(code)
+    assert SwdEcc(code).decode_table is table
+    assert SwdEcc(code, cache=False).decode_table is None
+    assert DecodeTable.for_code(canonical_secded_39_32()) is not table
+    assert table not in vars(code).values()
+    assert pickle.loads(pickle.dumps(code)).n == code.n
+    del code
+    gc.collect()
+    assert table.code is None
+
+
+def test_shared_table_builds_once_under_concurrent_requests():
+    """Threads racing for a new code's table all get one instance, and
+    exactly one build is charged."""
+    code = canonical_secded_39_32()
+    registry = obs_metrics.MetricsRegistry()
+    previous = obs_metrics.set_registry(registry)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    tables = []
+    try:
+        threads = [
+            threading.Thread(
+                target=lambda: tables.append(DecodeTable.for_code(code))
+            )
+            for _ in range(8)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        obs_metrics.set_registry(previous)
+    assert len(tables) == 8
+    assert all(table is tables[0] for table in tables)
+    assert registry.counter("decode_table.builds").value == 1
 
 
 def test_build_registers_metrics():
@@ -283,13 +332,8 @@ def test_lazy_result_pickles_and_copies_as_plain_result():
 # ---------------------------------------------------------------------------
 
 
-def test_precompile_requires_cache():
-    with pytest.raises(ValueError, match="requires cache=True"):
-        SwdEcc(CODE, precompile=True, cache=False)
-
-
 def test_precompile_is_idempotent():
-    engine = SwdEcc(CODE, precompile=True)
+    engine = SwdEcc(CODE)
     table = engine.decode_table
     assert engine.precompile() is table
 
@@ -309,7 +353,7 @@ def test_service_catalog_precompiles_by_default():
 
 
 def test_radius_offsets_memo_is_bounded():
-    enumerator = CandidateEnumerator(CODE)
+    enumerator = CandidateEnumerator(CODE, DecodeTable.for_code(CODE))
     memo = enumerator._radius_offsets
     for fake_key in range(MAX_RADIUS_ENTRIES):
         memo[(1 << 20) + fake_key, 3] = ()
@@ -327,7 +371,7 @@ def test_radius_offsets_memo_is_bounded():
 
 
 # ---------------------------------------------------------------------------
-# Correctable-radius guard (t >= 2 codes must demote to the lazy path)
+# Correctable-radius guard (t >= 2 codes must demote to the reference path)
 # ---------------------------------------------------------------------------
 
 
@@ -354,18 +398,15 @@ def test_radius_one_guard_demotes_dec_and_dected():
 def test_precompiled_dec_engine_uses_reference_path():
     from repro.ecc.bch import dec_code
 
-    engine = SwdEcc(
-        dec_code(), tie_break=TieBreak.FIRST, rng=random.Random(0),
-        precompile=True,
-    )
-    # The table exists (pair_masks delegation stays useful) but must
-    # not arm the recovery fast path.
+    engine = SwdEcc(dec_code(), tie_break=TieBreak.FIRST, rng=random.Random(0))
+    # The table exists (the enumerator reads pair masks from it) but
+    # must not arm the recovery fast path.
     assert engine.decode_table is not None
     assert not engine.decode_table.supports_fast_path
 
 
 def test_dec_precompile_bit_identical_regression():
-    """(44, 32) DEC with precompile=True == reference, word for word.
+    """(44, 32) DEC default engine == reference, word for word.
 
     DEC corrects doubles in hardware, so its DUE class is triples; a
     2-bit-coset table serving those would shadow the wider enumeration.
@@ -373,11 +414,7 @@ def test_dec_precompile_bit_identical_regression():
     from repro.ecc.bch import dec_code
 
     code = dec_code()
-    fast = SwdEcc(
-        code, tie_break=TieBreak.FIRST, rng=random.Random(0),
-        precompile=True,
-    )
-    reference = SwdEcc(code, tie_break=TieBreak.FIRST, rng=random.Random(0))
+    fast, reference = _engines(code=code)
     rng = random.Random(2016)
     compared = 0
     while compared < 25:
@@ -399,11 +436,7 @@ def test_daec_precompiled_identical_on_non_adjacent_doubles():
     from repro.ecc.daec import daec_code
 
     code = daec_code()
-    fast = SwdEcc(
-        code, tie_break=TieBreak.FIRST, rng=random.Random(0),
-        precompile=True,
-    )
-    reference = SwdEcc(code, tie_break=TieBreak.FIRST, rng=random.Random(0))
+    fast, reference = _engines(code=code)
     rng = random.Random(7)
     for _ in range(25):
         message = IMAGE.words[rng.randrange(len(IMAGE.words))]

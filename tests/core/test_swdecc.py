@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.filters import InstructionLegalityFilter
-from repro.core.rankers import UniformRanker
+from repro.core.rankers import BigramContextRanker, UniformRanker
 from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc, TieBreak, success_probability
 from repro.ecc.channel import double_bit_patterns
 from repro.errors import DecodingError
 from repro.isa.decoder import is_legal
+from repro.obs import metrics as obs_metrics
 
 
 class TestRecoverBasics:
@@ -250,3 +251,43 @@ class TestMonteCarloConsistency:
         frequency = successes / trials
         sigma = (probability * (1 - probability) / trials) ** 0.5
         assert abs(frequency - probability) < 4 * sigma + 1e-9
+
+
+class TestNoContextCaching:
+    """Context-less calls share one empty context, so the engine's
+    identity-keyed caches stay warm across them."""
+
+    def _measure(self, code, drive, **engine_kwargs):
+        registry = obs_metrics.MetricsRegistry()
+        saved = obs_metrics.set_registry(registry)
+        try:
+            engine = SwdEcc(code, rng=random.Random(0), **engine_kwargs)
+            drive(engine)
+        finally:
+            obs_metrics.set_registry(saved)
+        return registry
+
+    def test_repeated_no_context_recoveries_hit_filter_cache(self, code):
+        # The bigram ranker has no spec scorer, so recover() runs the
+        # filter chain itself rather than the decode-table fast path.
+        received = code.encode(0x8FBF0018) ^ (1 << 38) ^ (1 << 30)
+        registry = self._measure(
+            code,
+            lambda engine: [engine.recover(received) for _ in range(5)],
+            ranker=BigramContextRanker(),
+        )
+        misses = registry.counter("filter.cache_misses").value
+        assert misses > 0
+        assert registry.counter("filter.cache_hits").value == 4 * misses
+
+    def test_repeated_no_context_fast_path_reuses_decision_row(self, code):
+        received = code.encode(0x8FBF0018) ^ (1 << 38) ^ (1 << 30)
+        once = self._measure(code, lambda engine: engine.recover(received))
+        five = self._measure(
+            code, lambda engine: [engine.recover(received) for _ in range(5)]
+        )
+        assert once.counter("ops.filter_evals").value > 0
+        assert (
+            five.counter("ops.filter_evals").value
+            == once.counter("ops.filter_evals").value
+        )

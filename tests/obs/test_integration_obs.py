@@ -80,15 +80,33 @@ class TestOneRecoverOneEvent:
         assert histogram.max >= result.num_candidates >= histogram.min
 
 
-class TestSpansAcrossStages:
-    def test_recover_produces_nested_stage_spans(self, code, image, context):
-        collector = obs_trace.enable_tracing()
-        try:
-            engine = SwdEcc(code, rng=random.Random(0))
-            _, received = _due_word(code, image)
+def _traced_recover(code, image, context, **engine_kwargs):
+    collector = obs_trace.enable_tracing()
+    try:
+        engine = SwdEcc(code, rng=random.Random(0), **engine_kwargs)
+        _, received = _due_word(code, image)
+        with obs_trace.span("test.caller"):
             engine.recover(received, context)
-        finally:
-            obs_trace.disable_tracing()
+    finally:
+        obs_trace.disable_tracing()
+    return collector
+
+
+class TestSpansAcrossStages:
+    def test_default_recover_keeps_decode_layer_span(
+        self, code, image, context
+    ):
+        # The decode-table fast path has no stages, but a traced call
+        # still records exactly one swdecc.recover span, nested in (and
+        # contained by) its caller's span.
+        collector = _traced_recover(code, image, context)
+        recover, caller = collector.spans
+        assert (recover.name, caller.name) == ("swdecc.recover", "test.caller")
+        assert recover.parent_id == caller.span_id
+        assert recover.duration_ns <= caller.duration_ns
+
+    def test_recover_produces_nested_stage_spans(self, code, image, context):
+        collector = _traced_recover(code, image, context, cache=False)
         summary = collector.summary()
         for stage in ("swdecc.recover", "swdecc.enumerate", "swdecc.filter",
                       "swdecc.rank", "swdecc.choose"):
@@ -144,13 +162,7 @@ class TestSweepObservability:
 
 class TestRenderers:
     def test_render_helpers_produce_tables(self, code, image, context):
-        collector = obs_trace.enable_tracing()
-        try:
-            engine = SwdEcc(code, rng=random.Random(0))
-            _, received = _due_word(code, image)
-            engine.recover(received, context)
-        finally:
-            obs_trace.disable_tracing()
+        collector = _traced_recover(code, image, context, cache=False)
         metrics_text = render_metrics(obs_metrics.get_registry())
         assert "swdecc.recoveries" in metrics_text
         spans_text = render_spans(collector)
