@@ -18,6 +18,7 @@ from benchmarks.conftest import emit
 from repro.analysis.heatmap import render_table
 from repro.ecc.bch import dec_code, dected_code
 from repro.ecc.candidates import CandidateEnumerator
+from repro.ecc.decode_table import DecodeTable
 from repro.ecc.hsiao import hsiao_72_64
 
 
@@ -66,7 +67,7 @@ def test_dected_3bit_due_enumeration(benchmark, scale):
     """SWD-ECC's first requirement, one weight up: enumerate the
     equidistant candidates of 3-bit DUEs under DECTED."""
     code = dected_code()
-    enumerator = CandidateEnumerator(code)
+    enumerator = CandidateEnumerator(code, DecodeTable.for_code(code))
     rng = random.Random(3)
     cases = []
     while len(cases) < (40 if scale.full else 12):

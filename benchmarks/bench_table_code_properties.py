@@ -13,6 +13,7 @@ import random
 from benchmarks.conftest import emit
 from repro.analysis.experiments import run_code_properties
 from repro.ecc.candidates import CandidateEnumerator
+from repro.ecc.decode_table import DecodeTable
 
 
 def test_code_properties(benchmark, code):
@@ -73,7 +74,7 @@ def test_syndrome_decode_throughput(benchmark, code):
 
 
 def test_candidate_enumeration_throughput(benchmark, code):
-    enumerator = CandidateEnumerator(code)
+    enumerator = CandidateEnumerator(code, DecodeTable.for_code(code))
     rng = random.Random(1)
     received_words = []
     while len(received_words) < 256:

@@ -31,12 +31,13 @@ from repro.ecc import (
     hsiao_72_64,
 )
 from repro.ecc.candidates import CandidateEnumerator
+from repro.ecc.decode_table import DecodeTable
 import random
 
 
 def dected_candidate_stats(code, samples: int = 60, seed: int = 1):
     """Empirical 3-bit-DUE candidate statistics for a DECTED code."""
-    enumerator = CandidateEnumerator(code)
+    enumerator = CandidateEnumerator(code, DecodeTable.for_code(code))
     rng = random.Random(seed)
     sizes = []
     while len(sizes) < samples:

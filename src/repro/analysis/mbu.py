@@ -43,6 +43,7 @@ from repro.core.sideinfo import RecoveryContext
 from repro.core.swdecc import SwdEcc
 from repro.ecc.code import DecodeStatus, LinearBlockCode
 from repro.ecc.daec import daec_code
+from repro.ecc.decode_table import DecodeTable
 from repro.ecc.matrices import canonical_secded_39_32
 from repro.errors import AnalysisError, RecoveryError, UncorrectableError
 from repro.memory.faults import FaultInjector
@@ -307,6 +308,11 @@ def run_mbu_trial(arm: str, config: MbuConfig) -> MbuOutcome:
                     region_bytes=config.region_bytes,
                 ),
             )
+        # Build both codes' shared decode tables up front: a region that
+        # switches codes mid-trial must not charge the one-time table
+        # build to the trial's fault-handling energy.
+        DecodeTable.for_code(secded)
+        DecodeTable.for_code(daec)
         ops_before = obs_energy.op_counts(model=model)
         burst_lengths = dict(config.burst_lengths)
         all_addresses = [
