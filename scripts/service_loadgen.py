@@ -22,9 +22,10 @@ queueing delay shows up in the tail instead of silently throttling
 the generator.
 
 The run reports words/s and p50/p90/p99 request latency, and appends
-the record — including the serving process's ``workers`` count and
-the load ``mode`` — to ``BENCH_service.json`` at the repo root
-(disable with ``--no-history``) so regressions stay visible in
+the record — including the serving process's ``workers`` count, the
+load ``mode`` and the run's served-answer cache hit ratio (from the
+target's ``/metrics.json``) — to ``BENCH_service.json`` at the repo
+root (disable with ``--no-history``) so regressions stay visible in
 history.
 """
 
@@ -52,6 +53,31 @@ def _probe_workers(host: str, port: int) -> int | None:
             return json.loads(response.read()).get("workers")
     except Exception:
         return None
+
+
+def _cache_counts(host: str, port: int) -> tuple[float, float] | None:
+    """The target's ``service.result.cache_{hits,misses}`` counters."""
+    try:
+        with urllib.request.urlopen(
+            f"http://{host}:{port}/metrics.json", timeout=5.0
+        ) as response:
+            snapshot = json.loads(response.read())
+        return (
+            snapshot["service.result.cache_hits"]["value"],
+            snapshot["service.result.cache_misses"]["value"],
+        )
+    except (OSError, ValueError, KeyError):
+        return None
+
+
+def _hit_ratio(before, after) -> float | None:
+    """Hits over lookups between two counter readings (``None`` when
+    either reading failed or nothing was looked up)."""
+    if before is None or after is None:
+        return None
+    hits = after[0] - before[0]
+    lookups = hits + after[1] - before[1]
+    return round(hits / lookups, 4) if lookups else None
 
 
 def _append_history(record: dict) -> None:
@@ -124,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
             args.workers if service is not None
             else _probe_workers(host, port)
         )
+        before = _cache_counts(host, port)
         result = run_load(
             host, port,
             clients=args.clients,
@@ -134,6 +161,7 @@ def main(argv: list[str] | None = None) -> int:
             mode=args.mode,
             rate_rps=args.rate,
         )
+        after = _cache_counts(host, port)
     finally:
         if service is not None:
             service.stop()
@@ -147,6 +175,7 @@ def main(argv: list[str] | None = None) -> int:
         "workers": workers,
         "context": args.context,
         "words_per_request": args.batch,
+        "result_cache_hit_ratio": _hit_ratio(before, after),
         **result.to_record(),
     }
     if not args.no_history:

@@ -6,8 +6,9 @@ and asserts, exiting nonzero on any violation:
 
 - a brief closed-loop load completes with zero HTTP errors and every
   word recovered;
-- every served answer is bit-identical to a fresh serial engine
-  calling :meth:`SwdEcc.recover` on the same words;
+- every served answer is bit-identical to the uncached reference
+  pipeline (``SwdEcc(cache=False)``) calling :meth:`SwdEcc.recover` on
+  the same words;
 - ``/metrics`` parses with the strict round-trip parser
   (:func:`repro.obs.promtext.parse_exposition`) and carries the
   ``service_*`` families with counts consistent with the load;
@@ -115,11 +116,11 @@ def check_load_and_metrics(failures: list[str]) -> None:
                 f"{expected_words}"
             )
 
-    # Bit-identity: a fresh serial engine must produce the exact same
-    # payloads the service returned.
+    # Bit-identity: the uncached reference pipeline must produce the
+    # exact same payloads the service returned.
     code = canonical_secded_39_32()
     engine = SwdEcc(
-        code, tie_break=TieBreak.FIRST, rng=random.Random(0), cache=True
+        code, tie_break=TieBreak.FIRST, rng=random.Random(0), cache=False
     )
     image = synthesize_benchmark(
         CONTEXT, length=_CONTEXT_IMAGE_LENGTH, seed=_CONTEXT_SEED
@@ -134,8 +135,8 @@ def check_load_and_metrics(failures: list[str]) -> None:
             expected = error_payload(word, error)
         if payload != expected:
             failures.append(
-                f"served payload for 0x{word:x} differs from serial "
-                f"recover()"
+                f"served payload for 0x{word:x} differs from the "
+                f"reference recover()"
             )
             break
 

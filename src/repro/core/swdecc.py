@@ -39,7 +39,7 @@ from repro.ecc.code import LinearBlockCode
 from repro.ecc.decode_table import DecodeTable
 from repro.errors import DecodingError, RecoveryError
 from repro.isa.decoder import (
-    ALL_SELECTOR_FIELDS,
+    SELECTOR_FIELD_MASKS,
     selector_key,
     spec_for_selector_key,
 )
@@ -51,7 +51,14 @@ from repro.obs.trace import span
 
 _log = obs_logging.get_logger("swdecc")
 
-__all__ = ["TieBreak", "RecoveryResult", "SwdEcc", "success_probability"]
+__all__ = [
+    "TieBreak",
+    "RecoveryResult",
+    "PrecompiledResult",
+    "DecisionRow",
+    "SwdEcc",
+    "success_probability",
+]
 
 #: The context used when a caller passes none.  One shared instance
 #: (safe: contexts are frozen) keeps identity-keyed caches — filter,
@@ -139,16 +146,61 @@ _RESULT_FIELDS = (
 )
 
 
-class _PrecompiledResult(RecoveryResult):
+@dataclass(slots=True, eq=False)
+class DecisionRow:
+    """One shared recovery decision of the decode-table fast path.
+
+    Filter verdicts and ranker scores are pure functions of a
+    candidate's decoded spec, so every word whose candidates decode to
+    the same specs — same syndrome, same bits under the syndrome's
+    per-opcode selector mask, same context — reuses one row.  A row
+    holds only what is shared; a word's own candidate messages are
+    ``received_message ^ offset``.
+
+    Attributes
+    ----------
+    ranked:
+        ``((score, offsets), ...)``, best score first: the candidate
+        offsets of the filtered pool (the whole candidate list on
+        filter fallback) grouped by equal score, each group in pool
+        order.  ``ranked[0][1]`` are the tied offsets.
+    fell_back:
+        True when the filter rejected every candidate.
+    num_valid:
+        Filter survivors (0 on fallback, as the DUE event records it).
+    num_candidates:
+        Size of the unfiltered candidate list.
+    candidates_bucket / valid_bucket:
+        Histogram bucket indices of ``num_candidates`` / ``num_valid``.
+    template:
+        Rendering state a response serializer may attach on first use
+        (``None`` until then; see :func:`repro.service.api.render_result`).
+    """
+
+    ranked: tuple[tuple[float, tuple[int, ...]], ...]
+    fell_back: bool
+    num_valid: int
+    num_candidates: int
+    candidates_bucket: int
+    valid_bucket: int
+    template: object = None
+
+
+class PrecompiledResult(RecoveryResult):
     """A :class:`RecoveryResult` whose tuple fields materialize lazily.
 
     The precompiled fast path decides the recovery from per-syndrome
-    offsets without ever building the candidate/score tuples; most
-    callers (the service, sweeps driven by ``sweep_probabilities``)
-    only read ``chosen_message``/``chosen_codeword``, so the tuples
-    are reconstructed on first access instead of per call.  Every
-    field, once read, is bit-identical to the reference path's, and
-    equality/hash/pickle interoperate with plain results.
+    offsets and a shared :class:`DecisionRow` without ever building the
+    candidate/score tuples; most callers (the service, sweeps driven by
+    ``sweep_probabilities``) only read ``chosen_message``/
+    ``chosen_codeword``, so the tuples are reconstructed on first
+    access instead of per call.  Every field, once read, is
+    bit-identical to the reference path's, and equality/hash/pickle
+    interoperate with plain results.
+
+    Besides the dataclass fields it carries ``received_message`` (the
+    received word's message bits) and ``decision_row``, from which a
+    serializer can render the ranked targets without the tuples.
     """
 
     def __getattr__(self, name: str):
@@ -164,18 +216,26 @@ class _PrecompiledResult(RecoveryResult):
             if self.filter_fell_back:
                 value = self.candidate_messages
             else:
-                valid_offsets = self._row[0]
-                received_message = self._received_message
+                valid_offsets = {
+                    offset
+                    for _, offsets in self.decision_row.ranked
+                    for offset in offsets
+                }
+                received_message = self.received_message
                 value = tuple(
                     message
                     for message in self.candidate_messages
                     if message ^ received_message in valid_offsets
                 )
         elif name == "scores":
-            scores_by_offset = self._row[1]
-            received_message = self._received_message
+            score_of = {
+                offset: score
+                for score, offsets in self.decision_row.ranked
+                for offset in offsets
+            }
+            received_message = self.received_message
             value = tuple(
-                scores_by_offset[message ^ received_message]
+                score_of[message ^ received_message]
                 for message in self.valid_messages
             )
         else:
@@ -205,6 +265,22 @@ class _PrecompiledResult(RecoveryResult):
         # row holds table internals that must not cross process
         # boundaries, and receivers need no lazy machinery.
         return (RecoveryResult, self._field_values())
+
+
+def _selector_key_mask(offsets: tuple[int, ...], opcode: int) -> int:
+    """The received-message bits that decide every candidate's spec.
+
+    A candidate message is ``received_message ^ offset``; its opcode is
+    ``opcode ^ offset_opcode`` and its spec depends only on the bits
+    under that opcode's :data:`SELECTOR_FIELD_MASKS` entry.  The union
+    over the syndrome's offsets therefore keys a decision row exactly:
+    two received messages with the same opcode that agree on these bits
+    have candidates with identical specs, position by position.
+    """
+    mask = 0
+    for offset in offsets:
+        mask |= SELECTOR_FIELD_MASKS[opcode ^ ((offset >> 26) & 0x3F)]
+    return mask
 
 
 class SwdEcc:
@@ -290,6 +366,9 @@ class SwdEcc:
         self._table: DecodeTable | None = None
         self._fast_hooks: tuple | None = None
         self._row_cache = ContextCache()
+        #: ``(syndrome << 6) | opcode -> row-key mask``, filled on first
+        #: use (see _selector_key_mask).
+        self._key_masks: dict[int, int] = {}
         self._message_shift = code.n - code.k
         if cache:
             self.precompile()
@@ -551,7 +630,17 @@ class SwdEcc:
             return None
         self._m_ops_syndromes._value += 1
         received_message = received >> self._message_shift
-        base = received_message & ALL_SELECTOR_FIELDS
+        # The row key keeps exactly the received bits that decide the
+        # candidates' specs: the selector fields, under each
+        # candidate's own opcode, of the syndrome's offsets.
+        opcode = received_message >> 26
+        slot = (syndrome << 6) | opcode
+        key_mask = self._key_masks.get(slot)
+        if key_mask is None:
+            key_mask = self._key_masks[slot] = _selector_key_mask(
+                entry.offsets, opcode
+            )
+        base = received_message & key_mask
         # Inlined ContextCache.values_for: same generation and cap
         # checks, minus the method dispatch.
         row_cache = self._row_cache
@@ -567,9 +656,9 @@ class SwdEcc:
         if row is None:
             row = self._build_decision_row(entry, base, context)
             rows[row_key] = row
-        tied_offsets = row[2]
-        fell_back = row[3]
-        tied = row[5]
+        tied_offsets = row.ranked[0][1]
+        fell_back = row.fell_back
+        tied = len(tied_offsets)
         if tied == 1:
             chosen_message = received_message ^ tied_offsets[0]
         elif self._tie_break is TieBreak.FIRST:
@@ -589,8 +678,8 @@ class SwdEcc:
             chosen_message ^ received_message
         ]
         latency_ns = time.perf_counter_ns() - start_ns
-        num_candidates = row[6]
-        num_valid = row[4]
+        num_candidates = row.num_candidates
+        num_valid = row.num_valid
         # Counter.inc minus its non-negativity guard (these amounts are
         # constants >= 0), and Histogram.observe with the row's
         # precomputed bucket indices: the per-call bookkeeping storm is
@@ -609,7 +698,7 @@ class SwdEcc:
         if tied > 1:
             self._m_ties._value += 1
         histogram = self._h_candidates
-        histogram._bucket_counts[row[7]] += 1
+        histogram._bucket_counts[row.candidates_bucket] += 1
         histogram._count += 1
         histogram._sum += num_candidates
         if histogram._min is None or num_candidates < histogram._min:
@@ -617,7 +706,7 @@ class SwdEcc:
         if histogram._max is None or num_candidates > histogram._max:
             histogram._max = num_candidates
         histogram = self._h_valid
-        histogram._bucket_counts[row[8]] += 1
+        histogram._bucket_counts[row.valid_bucket] += 1
         histogram._count += 1
         histogram._sum += num_valid
         if histogram._min is None or num_valid < histogram._min:
@@ -637,38 +726,37 @@ class SwdEcc:
                 ),
             )
         )
-        result = _PrecompiledResult.__new__(_PrecompiledResult)
+        result = PrecompiledResult.__new__(PrecompiledResult)
         result.__dict__ = {
             "received": received,
             "filter_fell_back": fell_back,
             "chosen_message": chosen_message,
             "chosen_codeword": chosen_codeword,
             "tied": tied,
-            "_received_message": received_message,
+            "received_message": received_message,
+            "decision_row": row,
             "_shift": self._message_shift,
             "_entry": entry,
-            "_row": row,
         }
         return result
 
     def _build_decision_row(
         self, entry, base: int, context: RecoveryContext
-    ) -> tuple:
+    ) -> DecisionRow:
         """Precompute one (syndrome, selector-class) decision row.
 
         Filter verdicts and ranker scores are pure functions of a
         candidate's decoded spec, and every candidate's spec is fixed
-        by ``base`` (the received message's selector-field bits) XOR
-        the syndrome's message offsets — so the whole
-        filter → fallback → rank → find-ties pipeline runs once per
-        (syndrome, base, context) and every later word in the class
-        reuses the row.
+        by ``base`` (the received message under the syndrome's
+        per-opcode selector mask) XOR the syndrome's message offsets —
+        so the whole filter → fallback → rank → group-by-score pipeline
+        runs once per (syndrome, base, context) and every later word in
+        the class reuses the row.
         """
         predicate, scorer = self._fast_hooks
         offsets = entry.offsets
-        all_fields = ALL_SELECTOR_FIELDS
         specs = [
-            spec_for_selector_key(selector_key(base ^ (offset & all_fields)))
+            spec_for_selector_key(selector_key(base ^ offset))
             for offset in offsets
         ]
         if self._filter.filters:
@@ -680,25 +768,26 @@ class SwdEcc:
         ]
         fell_back = not survivors
         pool = list(zip(offsets, specs)) if fell_back else survivors
-        scores = [scorer(spec, context) for _, spec in pool]
-        self._m_ranker_evals.inc(len(scores))
-        best_score = max(scores)
-        tied_offsets = tuple(
-            offset
-            for (offset, _), score in zip(pool, scores)
-            if score == best_score
+        self._m_ranker_evals.inc(len(pool))
+        # Group by score value — the reference's tie test is score
+        # equality — keeping pool order within each group.
+        groups: dict[float, list[int]] = {}
+        for offset, spec in pool:
+            groups.setdefault(scorer(spec, context), []).append(offset)
+        ranked = tuple(
+            (score, tuple(group))
+            for score, group in sorted(
+                groups.items(), key=lambda item: item[0], reverse=True
+            )
         )
         # Histogram observations on the fast path are row constants, so
         # their bucket indices are resolved here, once per row.
         num_candidates = len(offsets)
         num_valid = len(survivors)
-        return (
-            frozenset(offset for offset, _ in survivors),
-            {offset: score for (offset, _), score in zip(pool, scores)},
-            tied_offsets,
+        return DecisionRow(
+            ranked,
             fell_back,
             num_valid,
-            len(tied_offsets),
             num_candidates,
             bisect_left(self._h_candidates.buckets, num_candidates),
             bisect_left(self._h_valid.buckets, num_valid),

@@ -138,6 +138,8 @@ def _expand_pseudo(
         if len(operands) != 1:
             raise AssemblerError(f"line {line_number}: b needs 1 operand")
         return [item("beq", ["$zero", "$zero", operands[0]])]
+    if mnemonic in ("beqz", "bnez", "neg", "not") and len(operands) != 2:
+        raise AssemblerError(f"line {line_number}: {mnemonic} needs 2 operands")
     if mnemonic == "beqz":
         return [item("beq", [operands[0], "$zero", operands[1]])]
     if mnemonic == "bnez":

@@ -12,10 +12,11 @@ are wider than 32 bits, so hex is the ergonomic spelling).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.swdecc import RecoveryResult
+from repro.core.swdecc import DecisionRow, PrecompiledResult, RecoveryResult
 from repro.errors import ServiceError
 from repro.obs.trace import TraceContext
 from repro.service.catalog import DEFAULT_CODE_ID, DEFAULT_CONTEXT_ID
@@ -24,6 +25,7 @@ __all__ = [
     "RecoveryRequest",
     "parse_word",
     "result_payload",
+    "render_result",
     "error_payload",
     "detect_only_payload",
     "MAX_BATCH_WORDS",
@@ -174,6 +176,72 @@ def result_payload(received: int, result: RecoveryResult) -> dict:
             for message, score in ranked
         ],
     }
+
+
+def render_result(received: int, result: RecoveryResult) -> str:
+    """``json.dumps(result_payload(received, result), sort_keys=True)``.
+
+    The service's per-word encoder.  A result served from a decode
+    table carries its shared :class:`~repro.core.swdecc.DecisionRow`,
+    whose constants — fallback flag, counts, tie count, each score
+    group's JSON text — are laid out once per row as a ``%``-format
+    template (kept in ``row.template``).  A word then formats only its
+    own integers: the chosen codeword and message, the received word,
+    and each score group's messages ``received_message ^ offset`` in
+    ascending order, with the first of the best group marked chosen.
+    Everything else — reference engines, radius escalations, a random
+    tie-break that chose a larger tied message — goes through
+    :func:`result_payload` and ``json.dumps``.  Both paths produce the
+    same bytes.
+    """
+    if type(result) is PrecompiledResult:
+        row = result.decision_row
+        template = row.template
+        if template is None:
+            template = row.template = _row_template(row)
+        text, groups = template
+        received_message = result.received_message
+        chosen = result.chosen_message
+        values = [result.chosen_codeword, chosen, received]
+        for offsets in groups:
+            if len(offsets) == 1:
+                values.append(received_message ^ offsets[0])
+            else:
+                values += sorted(
+                    [received_message ^ offset for offset in offsets]
+                )
+        # values[3] is the smallest tied message: the one a first-wins
+        # tie-break chooses.
+        if values[3] == chosen:
+            return text % tuple(values)
+    return json.dumps(result_payload(received, result), sort_keys=True)
+
+
+def _row_template(row: DecisionRow) -> tuple[str, tuple]:
+    """The ``(format text, offset groups)`` of a decision row.
+
+    The text is the row's whole ``json.dumps(..., sort_keys=True)``
+    payload with ``%d`` for the chosen codeword, chosen message,
+    received word and every target message, targets in
+    :func:`result_payload` order (score descending, message ascending)
+    and the first target marked chosen.
+    """
+    num_valid = row.num_candidates if row.fell_back else row.num_valid
+    targets = []
+    for score, offsets in row.ranked:
+        score_text = json.dumps(score)
+        target = f'{{"chosen": false, "message": %d, "score": {score_text}}}'
+        targets += [target] * len(offsets)
+    targets[0] = targets[0].replace('"chosen": false', '"chosen": true', 1)
+    text = (
+        '{"chosen_codeword": %d, "chosen_message": %d, '
+        f'"filter_fell_back": {"true" if row.fell_back else "false"}, '
+        f'"num_candidates": {row.num_candidates}, '
+        f'"num_valid": {num_valid}, "received": %d, '
+        f'"status": "recovered", "targets": [{", ".join(targets)}], '
+        f'"tied": {len(row.ranked[0][1])}}}'
+    )
+    return text, tuple(offsets for _, offsets in row.ranked)
 
 
 def error_payload(received: int, error: Exception) -> dict:

@@ -281,6 +281,12 @@ def run_load(
     fixed global schedule, interleaved round-robin across clients,
     with latency accounted from each request's scheduled arrival.
 
+    Client ``i`` starts at word ``i * requests_per_client *
+    words_per_request`` of *words* and walks it cyclically, so a list
+    of at least ``clients * requests_per_client * words_per_request``
+    distinct words is never sent twice (a cache-cold load), while a
+    shorter list repeats.
+
     Raises :class:`RuntimeError` if any client thread died abnormally
     (per-request HTTP failures are counted, not fatal), and
     :class:`ValueError` for a bad mode/rate combination.
@@ -315,7 +321,8 @@ def run_load(
             name=f"loadgen-client-{index}",
             args=(
                 host, port, requests_per_client, words, words_per_request,
-                context, index * 37, result, lock, errors,
+                context, index * requests_per_client * words_per_request,
+                result, lock, errors,
                 schedule_for(index),
             ),
         )

@@ -34,10 +34,12 @@ Three properties carry over from the single-process design:
 wire payloads — also serves the single-process mode (``workers=0``),
 so both paths share one executor and one served-answer cache: answers
 are deterministic, so each ``(code, context, word)`` is recovered once
-and then replayed as a pre-serialized JSON fragment (a dict probe
-instead of ~28 µs of engine work plus ~15 µs of ``json.dumps``).  The
-cache is disabled under per-request cost reporting, which needs true
-op-count deltas.
+and then replayed as a pre-serialized JSON fragment.  A miss costs a
+table-served ``recover()`` (~6 µs warm) plus
+:func:`~repro.service.api.render_result` formatting the word's integers
+into its decision row's template (~5 µs for ~10 targets); a hit is a
+dict probe.  The cache is disabled under per-request cost reporting,
+which needs true op-count deltas.
 """
 
 from __future__ import annotations
@@ -249,11 +251,12 @@ class BatchEngine:
                         result = engine.recover(word, context)
                     except ReproError as error:
                         ok = False
-                        payload = api.error_payload(word, error)
+                        fragment = json.dumps(
+                            api.error_payload(word, error), sort_keys=True
+                        )
                     else:
                         ok = True
-                        payload = api.result_payload(word, result)
-                    fragment = json.dumps(payload, sort_keys=True)
+                        fragment = api.render_result(word, result)
                     recovered += ok
                     failed += not ok
                     if cache is not None:

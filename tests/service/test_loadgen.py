@@ -61,6 +61,25 @@ class TestRunLoad:
         record = result.to_record()
         assert record["latency_ms"]["p50"] <= record["latency_ms"]["p99"]
 
+    def test_clients_never_repeat_a_word_of_a_long_list(self):
+        """Each client walks its own block of the word list, so a list
+        as long as the whole load never hits the served-answer cache."""
+        words = generate_due_words(count=24, seed=6)
+        assert len(set(words)) == 24
+        registry = MetricsRegistry()
+        service = RecoveryService(
+            port=0, registry=registry, event_log=EventLog()
+        )
+        with service:
+            result = run_load(
+                "127.0.0.1", service.port,
+                clients=2, requests_per_client=3,
+                words_per_request=4, context="none", words=words,
+            )
+        assert result.recovered == 24
+        assert registry.counter("service.result.cache_misses").value == 24
+        assert registry.counter("service.result.cache_hits").value == 0
+
     def test_slowest_traces_name_retained_server_traces(self):
         """The generator's slow-request trace ids resolve in the
         service's /traces buffer when it serves with tracing on."""

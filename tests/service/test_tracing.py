@@ -236,5 +236,13 @@ def test_stage_histograms_observed_for_untraced_requests(traced_service):
         for name in STAGE_NAMES
     }
     _post(service, [CODE.encode(21) ^ 0b101], "none")
+    # The handler observes the respond stage after writing the reply,
+    # so the client may read the reply first: give it a moment.
+    deadline = time.monotonic() + 5.0
     for name in STAGE_NAMES:
+        while (
+            service.registry.histogram(name).count <= before[name]
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.001)
         assert service.registry.histogram(name).count > before[name], name
