@@ -21,16 +21,23 @@ response):
 - pre-forked shards (``workers`` = all available cores) with 256-word
   requests, proving the multi-process path carries its IPC cost.
 
+A fourth cache-hot configuration has the shape of perfbench's
+``serve-hot`` workload: in-process, 16-word requests from 2 clients.
+Each request is too small to fill a batch on its own, so this is the
+configuration that shows what the batcher makes a request wait for;
+it is gated at ``MIN_SMALL_WORDS_PER_SECOND``.
+
 After warm-up those answers come from the served-answer cache, so a
-fourth, cache-cold configuration measures recovery itself: in-process,
+fifth, cache-cold configuration measures recovery itself: in-process,
 256-word requests of distinct DUE words (the ``mcf`` image's words x
 the 741 double-bit patterns, seeded order, never repeating, warm-up
 included), gated at ``MIN_COLD_WORDS_PER_SECOND``.
 
 Every run appends throughput, p50/p90/p99 request latency and the
 measured phase's ``service.result.cache_*`` hit ratio — tagged with
-``workers``, ``cache`` and load ``mode`` — to ``BENCH_service.json``
-at the repo root so regressions are visible in history.
+``workers``, ``cache``, ``clients`` and load ``mode`` — to
+``BENCH_service.json`` at the repo root so regressions are visible in
+history.
 """
 
 from __future__ import annotations
@@ -54,6 +61,14 @@ MIN_WORDS_PER_SECOND = 20000.0
 #: with shared decision rows and row-template rendering, and 9-11k
 #: with per-word rows and ``result_payload`` + ``json.dumps``.
 MIN_COLD_WORDS_PER_SECOND = 15000.0
+#: Small-request floor (in-process, cache-hot, 16-word requests from
+#: 2 clients).  On a 2-vCPU Xeon guest, in 13 alternating runs of each,
+#: this configuration measured 8.6-13.4k words/s (median 12.2k) with
+#: natural batching, and 5.9-9.3k (median 8.7k) with the 1 ms batch
+#: linger this harness used to pass.  Natural batching won every
+#: interleaved pair; its three runs below 9.5k came in stretches of
+#: host load in which the linger runs beside them read 5.9-8.2k.
+MIN_SMALL_WORDS_PER_SECOND = 9500.0
 CLIENTS = 4
 REQUESTS_PER_CLIENT = 40
 WARMUP_CLIENTS = 2
@@ -61,12 +76,15 @@ WARMUP_REQUESTS = 8
 CONTEXT = "mcf"
 RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_service.json"
 
-#: (workers, words_per_request, cache) per measured configuration.
+#: (workers, words_per_request, cache, clients, requests_per_client)
+#: per measured configuration.  The 16-word configuration sends more
+#: requests so that it measures about as many words as the others.
 CONFIGS = (
-    (0, 64, "hot"),
-    (0, 256, "hot"),
-    (max(1, os.cpu_count() or 1), 256, "hot"),
-    (0, 256, "cold"),
+    (0, 64, "hot", CLIENTS, REQUESTS_PER_CLIENT),
+    (0, 256, "hot", CLIENTS, REQUESTS_PER_CLIENT),
+    (max(1, os.cpu_count() or 1), 256, "hot", CLIENTS, REQUESTS_PER_CLIENT),
+    (0, 16, "hot", 2, 640),
+    (0, 256, "cold", CLIENTS, REQUESTS_PER_CLIENT),
 )
 
 
@@ -112,12 +130,13 @@ def _cache_counts(service) -> tuple[float, float]:
     )
 
 
-def _measure(workers: int, words_per_request: int, cold: bool, words):
+def _measure(
+    workers: int, words_per_request: int, cold: bool, words,
+    clients: int = CLIENTS, requests_per_client: int = REQUESTS_PER_CLIENT,
+):
     """Warm up, then measure; returns the load result and the measured
     phase's served-answer cache hit ratio."""
-    service = RecoveryService(
-        port=0, max_batch=1024, linger_s=0.001, workers=workers
-    )
+    service = RecoveryService(port=0, max_batch=1024, workers=workers)
     service.catalog.preload([CONTEXT])  # before start: shards fork warm
     if cold:
         # Warm-up and measured phase draw from separate slices, each as
@@ -139,7 +158,7 @@ def _measure(workers: int, words_per_request: int, cold: bool, words):
         hits_before, misses_before = _cache_counts(service)
         result = run_load(
             "127.0.0.1", service.port,
-            clients=CLIENTS, requests_per_client=REQUESTS_PER_CLIENT,
+            clients=clients, requests_per_client=requests_per_client,
             words_per_request=words_per_request,
             context=CONTEXT, words=words,
         )
@@ -153,17 +172,16 @@ def test_service_sustains_20k_recoveries_per_second():
     hot_words = generate_due_words()
     lines = []
     failures = []
-    for workers, words_per_request, cache in CONFIGS:
+    for workers, words_per_request, cache, clients, per_client in CONFIGS:
         cold = cache == "cold"
         if cold:
-            requests = (
-                WARMUP_CLIENTS * WARMUP_REQUESTS
-                + CLIENTS * REQUESTS_PER_CLIENT
-            )
+            requests = WARMUP_CLIENTS * WARMUP_REQUESTS + clients * per_client
             words = cold_due_words(requests * words_per_request)
         else:
             words = hot_words
-        result, hit_ratio = _measure(workers, words_per_request, cold, words)
+        result, hit_ratio = _measure(
+            workers, words_per_request, cold, words, clients, per_client
+        )
         record = {
             "timestamp": datetime.now(timezone.utc).isoformat(
                 timespec="seconds"
@@ -179,7 +197,8 @@ def test_service_sustains_20k_recoveries_per_second():
         _append_history(record)
         latency = record["latency_ms"]
         lines.append(
-            f"workers={workers} wpr={words_per_request:4d} {cache:4s}: "
+            f"workers={workers} wpr={words_per_request:4d} {cache:4s} "
+            f"clients={clients}: "
             f"{result.throughput_words_per_s:9.0f} words/s  "
             f"p50 {latency['p50']:6.2f} ms  p90 {latency['p90']:6.2f} ms  "
             f"p99 {latency['p99']:6.2f} ms  hit {hit_ratio:.2f}  "
@@ -191,7 +210,12 @@ def test_service_sustains_20k_recoveries_per_second():
             )
         if not result.recovered:
             failures.append(f"workers={workers}: no words were recovered")
-        floor = MIN_COLD_WORDS_PER_SECOND if cold else MIN_WORDS_PER_SECOND
+        if cold:
+            floor = MIN_COLD_WORDS_PER_SECOND
+        elif words_per_request < 64:
+            floor = MIN_SMALL_WORDS_PER_SECOND
+        else:
+            floor = MIN_WORDS_PER_SECOND
         if result.throughput_words_per_s < floor:
             failures.append(
                 f"workers={workers} wpr={words_per_request} {cache}: "
@@ -209,7 +233,8 @@ def test_service_sustains_20k_recoveries_per_second():
         "\n".join(
             [
                 f"workload      : {CLIENTS} clients x "
-                f"{REQUESTS_PER_CLIENT} requests, context={CONTEXT}",
+                f"{REQUESTS_PER_CLIENT} requests (16-word: 2 x 640), "
+                f"context={CONTEXT}",
                 *lines,
                 f"history       : {RESULTS_PATH.name}",
             ]

@@ -111,8 +111,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="side-info context id sent with each request")
     parser.add_argument("--max-batch", type=int, default=512,
                         help="service micro-batch size (self-host only)")
-    parser.add_argument("--linger-ms", type=float, default=1.0,
-                        help="service batch linger (self-host only)")
     parser.add_argument("--workers", type=int, default=0, metavar="N",
                         help="shard processes for the self-hosted "
                         "service (0 = in-process)")
@@ -136,7 +134,6 @@ def main(argv: list[str] | None = None) -> int:
             service = RecoveryService(
                 port=0,
                 max_batch=args.max_batch,
-                linger_s=args.linger_ms / 1000.0,
                 workers=args.workers,
             )
             # Preload before start so sharded workers fork warm.

@@ -10,11 +10,11 @@ enabled and asserts, exiting nonzero on any violation:
   unsampled inbound header (flags ``00``) propagates ids without
   retaining a trace;
 - ``/metrics`` strict-parses (:func:`repro.obs.promtext.parse_exposition`)
-  and carries all five ``service_stage_*`` latency histogram families
+  and carries all six ``service_stage_*`` latency histogram families
   with counts covering every request served;
 - ``GET /traces`` returns JSON span trees in which every span's
   parent resolves within its tree, stage names are well-formed, every
-  sampled request's trace id is retained, the five stage spans sit
+  sampled request's trace id is retained, the six stage spans sit
   under a ``service.request`` root in chronological order summing to
   no more than the end-to-end duration, and the worker-side
   ``service.shard.execute`` span is nested inside ``shard_exec``;
@@ -39,6 +39,7 @@ from repro.service.loadgen import generate_due_words
 
 CONTEXT = "mcf"
 STAGE_FAMILIES = (
+    "service_stage_parse",
     "service_stage_queue_wait",
     "service_stage_linger",
     "service_stage_shard_exec",
@@ -46,6 +47,7 @@ STAGE_FAMILIES = (
     "service_stage_respond",
 )
 STAGE_SPAN_NAMES = (
+    "service.stage.parse",
     "service.stage.queue_wait",
     "service.stage.linger",
     "service.stage.shard_exec",
@@ -151,7 +153,7 @@ def main() -> int:
     words = generate_due_words(count=64, seed=3)
     collector = obs_trace.enable_tracing(obs_trace.SpanCollector())
     service = RecoveryService(
-        port=0, workers=2, max_batch=8, linger_s=0.001,
+        port=0, workers=2, max_batch=8,
         registry=MetricsRegistry(), event_log=EventLog(),
     )
     service.catalog.preload([CONTEXT])
@@ -211,7 +213,7 @@ def main() -> int:
                     f"unsampled traceparent mishandled: {echoed!r}"
                 )
 
-            # /metrics: all five stage families, strict-parsed, counting
+            # /metrics: all six stage families, strict-parsed, counting
             # every request (the unsampled one included).
             with urllib.request.urlopen(
                 service.url + "/metrics", timeout=15
@@ -274,7 +276,7 @@ def main() -> int:
     if not failures:
         print(
             f"trace smoke: OK ({len(collector.traces)} traces retained, "
-            f"{len(collector)} spans, all five stage histograms present)"
+            f"{len(collector)} spans, all six stage histograms present)"
         )
     return 1 if failures else 0
 

@@ -286,9 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
     recovery.add_argument("--max-batch", type=int, default=256,
                           metavar="WORDS",
                           help="words per micro-batch before it closes")
-    recovery.add_argument("--linger-ms", type=float, default=2.0,
-                          metavar="MS",
-                          help="longest a batch waits for more requests")
     recovery.add_argument("--queue-limit", type=int, default=4096,
                           metavar="WORDS",
                           help="queued words before backpressure engages")
@@ -740,7 +737,6 @@ def _command_serve_recovery(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_batch=args.max_batch,
-        linger_s=args.linger_ms / 1000.0,
         queue_limit=args.queue_limit,
         workers=args.workers,
         overload_policy=args.policy,

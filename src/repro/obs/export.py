@@ -130,9 +130,10 @@ def render_waterfall(trace: Mapping, width: int = 48) -> str:
     *trace* is one entry from ``GET /traces`` (the shape
     :meth:`repro.obs.trace.TraceEntry.as_dict` produces): each span
     prints indented under its parent with its duration and a bar
-    positioned along the request's end-to-end window, so queue wait
-    vs. linger vs. shard execution vs. serialization reads off at a
-    glance.
+    positioned along the request's end-to-end window, so parse vs.
+    queue wait vs. shard execution vs. serialization reads off at a
+    glance (``service.stage.linger`` is the claim-to-execute gap; no
+    batch waits on a timer, so it stays near zero).
     """
     root = trace["root"]
     total_ns = max(

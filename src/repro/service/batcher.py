@@ -9,9 +9,11 @@ arrive one at a time.  :class:`RecoveryBatcher` sits between the two:
   hint.  There is no unbounded buffering mode: when the queue is full
   the caller is told *now*, and the HTTP layer either rejects (429) or
   degrades to detect-only, per policy.
-- **Micro-batches** — a single worker thread gathers queued jobs until
-  ``max_batch`` words are in hand or the ``linger`` deadline passes
-  (whichever first), then executes them in one call.  Jobs are never
+- **Micro-batches** — a single worker thread, whenever it is free,
+  takes every queued job up to ``max_batch`` words and executes them in
+  one call.  Nothing waits on a timer: batches grow from the requests
+  that queue while the previous batch executes, so they are large under
+  load and a request on an idle engine runs at once.  Jobs are never
   split, so a batch can exceed ``max_batch`` by at most one job.
 - **Single consumer** — the worker thread is the only caller of the
   executor, so the engines' context caches need no locks and batched
@@ -97,9 +99,7 @@ class RecoveryBatcher:
         never looks inside).  An exception fails every request in the
         batch.
     max_batch:
-        Word-count low-water mark that closes a batch early.
-    linger_s:
-        Longest a gathered batch waits for company before executing.
+        Word count that closes a batch; later jobs wait for the next.
     queue_limit:
         Maximum words queued (not yet executing).  ``submit`` beyond
         this raises :class:`ServiceOverloadError` — never buffers.
@@ -118,21 +118,17 @@ class RecoveryBatcher:
         self,
         execute: BatchExecutor,
         max_batch: int = 256,
-        linger_s: float = 0.002,
         queue_limit: int = 4096,
         registry: obs_metrics.MetricsRegistry | None = None,
         metric_prefix: str = "service",
     ) -> None:
         if max_batch < 1:
             raise ServiceError(f"max_batch must be >= 1, got {max_batch}")
-        if linger_s < 0:
-            raise ServiceError(f"linger_s must be >= 0, got {linger_s}")
         if queue_limit < 1:
             raise ServiceError(f"queue_limit must be >= 1, got {queue_limit}")
         self._execute = execute
         self._metric_prefix = metric_prefix
         self._max_batch = max_batch
-        self._linger_s = linger_s
         self._queue_limit = queue_limit
         self._cond = Condition()
         self._queue: deque[_Job] = deque()
@@ -208,10 +204,7 @@ class RecoveryBatcher:
     def retry_after_hint(self) -> float:
         """Suggested client backoff, from the measured drain rate."""
         with self._cond:
-            backlog = self._queued_words
-            seconds_per_word = self._seconds_per_word
-        estimate = backlog * seconds_per_word + self._linger_s
-        return min(max(estimate, 0.001), 5.0)
+            return self._retry_after_locked()
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -294,9 +287,7 @@ class RecoveryBatcher:
         return job.future
 
     def _retry_after_locked(self) -> float:
-        estimate = (
-            self._queued_words * self._seconds_per_word + self._linger_s
-        )
+        estimate = self._queued_words * self._seconds_per_word
         return min(max(estimate, 0.001), 5.0)
 
     # ------------------------------------------------------------------
@@ -304,28 +295,24 @@ class RecoveryBatcher:
     # ------------------------------------------------------------------
 
     def _gather(self) -> list[_Job] | None:
-        """Block for the next micro-batch; ``None`` means shut down."""
+        """Block for the next micro-batch; ``None`` means shut down.
+
+        Takes whatever is queued, up to ``max_batch`` words, the moment
+        the worker is free; it never waits for more company.
+        """
         with self._cond:
             while not self._queue:
                 if self._stop:
                     return None
                 self._cond.wait()
-            batch = [self._queue.popleft()]
-            batch[0].claimed_ns = time.perf_counter_ns()
-            words = batch[0].words
-            deadline = time.monotonic() + self._linger_s
-            while words < self._max_batch:
-                if self._queue:
-                    batch.append(self._queue.popleft())
-                    batch[-1].claimed_ns = time.perf_counter_ns()
-                    words += batch[-1].words
-                    continue
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or self._stop:
-                    break
-                self._cond.wait(remaining)
-                # Loop re-checks the queue and the deadline, so both
-                # spurious wakes and real arrivals are handled above.
+            claimed_ns = time.perf_counter_ns()
+            batch: list[_Job] = []
+            words = 0
+            while self._queue and words < self._max_batch:
+                job = self._queue.popleft()
+                job.claimed_ns = claimed_ns
+                batch.append(job)
+                words += job.words
             self._queued_words -= words
             self._g_depth.set(self._queued_words)
         return batch
@@ -537,7 +524,6 @@ class ShardedBatcher:
         self,
         pool: ShardPool,
         max_batch: int = 256,
-        linger_s: float = 0.002,
         queue_limit: int = 4096,
         registry: obs_metrics.MetricsRegistry | None = None,
     ) -> None:
@@ -552,7 +538,6 @@ class ShardedBatcher:
             RecoveryBatcher(
                 partial(pool.execute, index),
                 max_batch=max_batch,
-                linger_s=linger_s,
                 queue_limit=per_shard_limit,
                 registry=registry,
                 metric_prefix=f"service.shard.{index}",

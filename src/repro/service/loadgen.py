@@ -27,8 +27,8 @@ Every request carries a generator-minted W3C ``traceparent`` header,
 and :meth:`LoadResult.slowest_traces` reports the trace ids of the
 slowest requests — when the service runs with tracing enabled, those
 ids resolve in its ``GET /traces`` buffer (``repro trace <id>``), so
-a latency outlier in a bench run can be decomposed into queue wait /
-linger / shard execution after the fact.
+a latency outlier in a bench run can be decomposed into parse / queue
+wait / claim-to-execute / shard execution after the fact.
 """
 
 from __future__ import annotations

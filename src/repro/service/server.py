@@ -260,7 +260,14 @@ class _RecoveryRequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
+        # Status line, headers and body leave in one write.
+        # end_headers() would flush the headers alone, and with Nagle
+        # off the body would follow as a second segment.  HTTP/0.9
+        # replies carry no headers, so there is no buffer to join.
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.extend((b"\r\n", payload))
+            payload = b"".join(self._headers_buffer)
+            self._headers_buffer = []
         self.wfile.write(payload)
 
     def log_message(self, format: str, *args: object) -> None:
@@ -278,7 +285,7 @@ class RecoveryService:
     host / port:
         Bind address; port 0 picks an ephemeral port (read
         :attr:`port` after :meth:`start`).
-    max_batch / linger_s / queue_limit:
+    max_batch / queue_limit:
         Micro-batching knobs, forwarded to the
         :class:`RecoveryBatcher`.
     workers:
@@ -315,7 +322,6 @@ class RecoveryService:
         host: str = "127.0.0.1",
         port: int = 9200,
         max_batch: int = 256,
-        linger_s: float = 0.002,
         queue_limit: int = 4096,
         workers: int = 0,
         overload_policy: str = "degrade",
@@ -340,7 +346,6 @@ class RecoveryService:
         self._host = host
         self._requested_port = port
         self._max_batch = max_batch
-        self._linger_s = linger_s
         self._queue_limit = queue_limit
         self._workers = workers
         self._overload_policy = overload_policy
@@ -366,7 +371,6 @@ class RecoveryService:
             self._batcher = RecoveryBatcher(
                 self._engine.execute,
                 max_batch=max_batch,
-                linger_s=linger_s,
                 queue_limit=queue_limit,
                 registry=resolved,
             )
@@ -393,8 +397,12 @@ class RecoveryService:
             "service.request_seconds",
             help="End-to-end request latency (parse to response body)",
         )
-        # The HTTP-layer halves of the per-request stage decomposition
+        # The HTTP-layer parts of the per-request stage decomposition
         # (the batcher owns queue_wait / linger / shard_exec).
+        self._h_stage_parse = resolved.histogram(
+            "service.stage.parse",
+            help="Per request: JSON decode and request validation",
+        )
         self._h_stage_serialize = resolved.histogram(
             "service.stage.serialize",
             help="Per request: response-body construction "
@@ -507,7 +515,6 @@ class RecoveryService:
             self._batcher = ShardedBatcher(
                 self._pool,
                 max_batch=self._max_batch,
-                linger_s=self._linger_s,
                 queue_limit=self._queue_limit,
                 registry=self.registry,
             )
@@ -595,8 +602,22 @@ class RecoveryService:
     ) -> None:
         """Account the socket-write stage (histogram always, span when
         recording)."""
-        self._h_stage_respond.observe(max(end_ns - start_ns, 0) / 1e9)
-        trace.stage("service.stage.respond", start_ns, end_ns)
+        self._observe_stage(
+            self._h_stage_respond, "service.stage.respond",
+            trace, start_ns, end_ns,
+        )
+
+    @staticmethod
+    def _observe_stage(
+        histogram: obs_metrics.Histogram,
+        name: str,
+        trace: _RequestTrace | None,
+        start_ns: int,
+        end_ns: int,
+    ) -> None:
+        histogram.observe(max(end_ns - start_ns, 0) / 1e9)
+        if trace is not None:
+            trace.stage(name, start_ns, end_ns)
 
     def handle_recover(
         self, body: bytes, batch: bool, trace: _RequestTrace | None = None
@@ -610,7 +631,7 @@ class RecoveryService:
         When *trace* is given (the HTTP layer always passes one), its
         trace id is bound into any structured JSON logs emitted while
         the request is handled, its context rides the queued request,
-        and the serialize stage is recorded.
+        and the parse and serialize stages are recorded.
         """
         if trace is None:
             return self._handle_recover(body, batch, None)
@@ -622,6 +643,7 @@ class RecoveryService:
     ) -> tuple[int, str, dict[str, str]]:
         started = time.perf_counter()
         self._c_requests.inc()
+        parse_start_ns = time.perf_counter_ns()
         try:
             parsed = json.loads(body)
         except json.JSONDecodeError as error:
@@ -629,6 +651,10 @@ class RecoveryService:
         request = api.RecoveryRequest.from_json(
             parsed, batch=batch,
             width_for=lambda code_id: self._catalog.code(code_id).n,
+        )
+        self._observe_stage(
+            self._h_stage_parse, "service.stage.parse",
+            trace, parse_start_ns, time.perf_counter_ns(),
         )
         if trace is not None and trace.recording:
             request = replace(request, trace=trace.context)
@@ -680,10 +706,10 @@ class RecoveryService:
     ) -> str:
         start_ns = time.perf_counter_ns()
         body_out = build()
-        end_ns = time.perf_counter_ns()
-        self._h_stage_serialize.observe((end_ns - start_ns) / 1e9)
-        if trace is not None:
-            trace.stage("service.stage.serialize", start_ns, end_ns)
+        self._observe_stage(
+            self._h_stage_serialize, "service.stage.serialize",
+            trace, start_ns, time.perf_counter_ns(),
+        )
         return body_out
 
     def _success_body(

@@ -1,7 +1,8 @@
-"""RecoveryBatcher: coalescing, backpressure, and lifecycle."""
+"""RecoveryBatcher: natural batching, backpressure, and lifecycle."""
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -44,12 +45,12 @@ class TestBatching:
         batcher = RecoveryBatcher(
             counting_executor,
             max_batch=64,
-            linger_s=0.05,
             registry=MetricsRegistry(),
         ).start()
         try:
             # The gate stalls the worker on whatever it grabs first, so
-            # the rest of the submissions pile up and must coalesce.
+            # the rest of the submissions pile up while it executes and
+            # the free worker takes them all in one batch.
             futures = [batcher.submit(request_of(i)) for i in range(8)]
             gate.set()
             for future in futures:
@@ -60,7 +61,7 @@ class TestBatching:
         assert sum(batches) == 8
         assert len(batches) <= 2  # coalesced, not one batch per request
 
-    def test_max_batch_closes_without_waiting_linger(self):
+    def test_max_batch_splits_the_queue(self):
         sizes: list[int] = []
         gate = threading.Event()
 
@@ -72,16 +73,14 @@ class TestBatching:
         batcher = RecoveryBatcher(
             gated_executor,
             max_batch=4,
-            linger_s=10.0,  # long linger: only max_batch can close it
             registry=MetricsRegistry(),
         ).start()
-        started = time.monotonic()
         try:
-            # 4 words meet max_batch at once, so the gather must close
-            # immediately instead of lingering 10 s for more company.
+            # 4 words meet max_batch, so the first batch is the full job
+            # alone, however many halves are already queued behind it.
             full = batcher.submit(request_of(0, 1, 2, 3))
-            # While the worker is gated on the full batch, two halves
-            # queue up; together they reach max_batch and close too.
+            # The halves queue while the worker is gated on the full
+            # batch; together they reach max_batch and form the next.
             halves = [
                 batcher.submit(request_of(10, 11)),
                 batcher.submit(request_of(12, 13)),
@@ -93,8 +92,43 @@ class TestBatching:
         finally:
             gate.set()
             batcher.stop()
-        assert time.monotonic() - started < 5.0  # never lingered
         assert sizes == [4, 4]
+
+    def test_lone_request_runs_without_waiting_for_company(self):
+        # The second submitter is held on a barrier that only the
+        # executor, running the first request, can release.  A batcher
+        # that waited for company before executing would deadlock here
+        # until the barrier timed out.
+        barrier = threading.Barrier(2, timeout=10.0)
+        batches: list[list[tuple[int, ...]]] = []
+
+        def executor(requests):
+            batches.append([request.words for request in requests])
+            if len(batches) == 1:
+                barrier.wait()
+            return echo_executor(requests)
+
+        second: list = []
+
+        def late_submitter():
+            barrier.wait()
+            second.append(batcher.submit(request_of(2)))
+
+        batcher = RecoveryBatcher(
+            executor, max_batch=64, registry=MetricsRegistry()
+        ).start()
+        thread = threading.Thread(target=late_submitter)
+        thread.start()
+        try:
+            first = batcher.submit(request_of(1))
+            assert first.result(timeout=5.0) == [{"word": 1}]
+            thread.join(timeout=5.0)
+            assert second[0].result(timeout=5.0) == [{"word": 2}]
+        finally:
+            barrier.abort()
+            thread.join(timeout=5.0)
+            batcher.stop()
+        assert batches == [[(1,)], [(2,)]]
 
     def test_jobs_never_split_across_batches(self):
         seen: list[list[tuple[int, ...]]] = []
@@ -106,12 +140,60 @@ class TestBatching:
         with RecoveryBatcher(
             recording_executor,
             max_batch=2,
-            linger_s=0.0,
             registry=MetricsRegistry(),
         ) as batcher:
             future = batcher.submit(request_of(*range(10)))
             future.result(timeout=5.0)
         assert [tuple(range(10))] in seen
+
+    def test_concurrent_submitters_lose_no_words(self):
+        # More submitting threads than cores, with a short switch
+        # interval, race the worker's gather: every word must run
+        # exactly once, in a batch no larger than max_batch, and the
+        # queued-word count must return to zero.
+        batch_words: list[int] = []
+
+        def recording_executor(requests):
+            batch_words.append(sum(len(r.words) for r in requests))
+            return echo_executor(requests)
+
+        registry = MetricsRegistry()
+        batcher = RecoveryBatcher(
+            recording_executor, max_batch=16, queue_limit=10_000,
+            registry=registry,
+        ).start()
+        results: dict[int, list] = {}
+
+        def submitter(thread_index: int) -> None:
+            futures = [
+                batcher.submit(request_of(thread_index * 1000 + i, i))
+                for i in range(200)
+            ]
+            results[thread_index] = [f.result(timeout=10.0) for f in futures]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(index,))
+                for index in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(old_interval)
+            batcher.stop()
+        for index in range(8):
+            assert results[index] == [
+                [{"word": index * 1000 + i}, {"word": i}] for i in range(200)
+            ]
+        assert sum(batch_words) == 8 * 200 * 2
+        assert max(batch_words) <= 16
+        assert batcher.queued_words() == 0
+        assert registry.get("service.queue_depth").value == 0.0
 
 
 class TestBackpressure:
@@ -125,7 +207,6 @@ class TestBackpressure:
         batcher = RecoveryBatcher(
             blocked_executor,
             max_batch=1,
-            linger_s=0.0,
             queue_limit=4,
             registry=MetricsRegistry(),
         ).start()
@@ -156,7 +237,6 @@ class TestBackpressure:
         batcher = RecoveryBatcher(
             blocked_executor,
             max_batch=1,
-            linger_s=0.0,
             queue_limit=100,
             registry=registry,
         ).start()
@@ -183,7 +263,6 @@ class TestBackpressure:
         batcher = RecoveryBatcher(
             blocked_executor,
             max_batch=1,
-            linger_s=0.0,
             queue_limit=1,
             registry=registry,
         ).start()
@@ -217,7 +296,6 @@ class TestLifecycle:
         batcher = RecoveryBatcher(
             slow_executor,
             max_batch=1,
-            linger_s=0.0,
             registry=MetricsRegistry(),
         ).start()
         futures = [batcher.submit(request_of(i)) for i in range(5)]
@@ -274,7 +352,6 @@ class TestLifecycle:
         batcher = RecoveryBatcher(
             gated_executor,
             max_batch=1,
-            linger_s=0.0,
             registry=MetricsRegistry(),
         ).start()
         try:
@@ -296,8 +373,6 @@ class TestValidation:
     def test_bad_knobs_raise(self):
         with pytest.raises(ServiceError):
             RecoveryBatcher(echo_executor, max_batch=0)
-        with pytest.raises(ServiceError):
-            RecoveryBatcher(echo_executor, linger_s=-1.0)
         with pytest.raises(ServiceError):
             RecoveryBatcher(echo_executor, queue_limit=0)
 

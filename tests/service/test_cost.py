@@ -10,6 +10,7 @@ histograms record energy per executed micro-batch in both modes.
 from __future__ import annotations
 
 import json
+import threading
 import urllib.request
 
 import pytest
@@ -90,12 +91,24 @@ class TestCostReporting:
             assert joules.sum > 0
 
     def test_degraded_responses_never_carry_cost(self, due_word):
-        # A 0ms timeout degrades to detect-only before any engine work.
-        with _service(report_cost=True, linger_s=0.05) as svc:
-            status, body = post(
-                svc.url + "/recover",
-                {"received": due_word, "timeout_ms": 1},
-            )
+        # The engine is held until the 1 ms timeout has degraded the
+        # request to detect-only, so no engine work reaches its answer.
+        gate = threading.Event()
+        with _service(report_cost=True) as svc:
+            real_execute = svc.batcher._execute
+
+            def gated(requests):
+                gate.wait(10.0)
+                return real_execute(requests)
+
+            svc.batcher._execute = gated
+            try:
+                status, body = post(
+                    svc.url + "/recover",
+                    {"received": due_word, "timeout_ms": 1},
+                )
+            finally:
+                gate.set()
         assert status == 200
         assert body["degraded"] is True
         assert "cost" not in body

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import socket
+import socketserver
 import threading
 import urllib.error
 import urllib.request
@@ -36,6 +38,33 @@ def post(url: str, payload: dict, timeout: float = 10.0):
 def get(url: str, timeout: float = 5.0):
     with urllib.request.urlopen(url, timeout=timeout) as response:
         return response.status, response.read().decode()
+
+
+def raw_request(
+    method: str, path: str, body: bytes = b"", close: bool = False
+) -> bytes:
+    """One HTTP/1.1 request as bytes, built by hand (no client library)."""
+    head = [f"{method} {path} HTTP/1.1", "Host: 127.0.0.1"]
+    if body:
+        head += ["Content-Type: application/json",
+                 f"Content-Length: {len(body)}"]
+    if close:
+        head.append("Connection: close")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+def read_response(reader) -> tuple[str, dict[str, str], bytes]:
+    """One response off a socket file: the status line, the headers
+    (names lower-cased) and exactly ``Content-Length`` body bytes."""
+    status_line = reader.readline().decode("latin-1").rstrip("\r\n")
+    headers: dict[str, str] = {}
+    while True:
+        line = reader.readline().decode("latin-1")
+        if line in ("\r\n", ""):
+            break
+        name, _, value = line.partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status_line, headers, reader.read(int(headers["content-length"]))
 
 
 @pytest.fixture()
@@ -181,7 +210,6 @@ class TestDegradation:
             event_log=EventLog(),
             queue_limit=1,
             max_batch=1,
-            linger_s=0.0,
             overload_policy=policy,
         )
         real_execute = svc._engine.execute
@@ -255,6 +283,28 @@ class TestDegradation:
         assert int(headers["Retry-After"]) >= 1
         assert svc.registry.get("service.rejections").value == 1.0
 
+    def test_reject_429_is_well_formed_on_the_wire(self, due_word):
+        gate = threading.Event()
+        svc = self._gated_service("reject", gate)
+        body = json.dumps({"received": due_word}).encode()
+        try:
+            with svc:
+                parked, filler = self._saturate(svc, due_word)
+                with socket.create_connection(
+                    ("127.0.0.1", svc.port), timeout=10.0
+                ) as sock, sock.makefile("rb") as reader:
+                    sock.sendall(raw_request("POST", "/recover", body))
+                    status, headers, payload = read_response(reader)
+                gate.set()
+                parked.result(timeout=15.0)
+                filler.result(timeout=15.0)
+        finally:
+            gate.set()
+        assert status == "HTTP/1.1 429 Too Many Requests"
+        assert int(headers["retry-after"]) >= 1
+        assert "traceparent" in headers
+        assert json.loads(payload)["error"] == "overloaded"
+
     def test_timeout_degrades_to_detect_only(self, due_word):
         gate = threading.Event()
         svc = self._gated_service("degrade", gate)
@@ -306,3 +356,90 @@ class TestLifecycleAndValidation:
     def test_port_zero_resolves(self, service):
         assert service.port != 0
         assert str(service.port) in service.url
+
+
+class TestWireFormat:
+    """Replies leave in one socket write and frame correctly."""
+
+    def test_keep_alive_batches_frame_and_carry_traceparent(
+        self, service, due_word
+    ):
+        body = json.dumps(
+            {"received": [due_word, due_word ^ 0b110]}
+        ).encode()
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10.0
+        ) as sock, sock.makefile("rb") as reader:
+            sock.sendall(raw_request("POST", "/recover/batch", body))
+            first = read_response(reader)
+            # The second answer only parses if the first one's
+            # Content-Length matched its body to the byte.
+            sock.sendall(
+                raw_request("POST", "/recover/batch", body, close=True)
+            )
+            second = read_response(reader)
+            assert reader.read() == b""  # nothing after the last body
+        for status, headers, payload in (first, second):
+            assert status == "HTTP/1.1 200 OK"
+            assert int(headers["content-length"]) == len(payload)
+            assert headers["content-type"] == "application/json"
+            assert headers["traceparent"].startswith("00-")
+            assert "server" in headers and "date" in headers
+            assert json.loads(payload)["words"] == 2
+        assert first[2] == second[2]
+
+    def test_reply_is_one_socket_write(self, service, due_word, monkeypatch):
+        writes: list[bytes] = []
+        original = socketserver._SocketWriter.write
+
+        def recording_write(writer, data):
+            writes.append(bytes(data))
+            return original(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write",
+                            recording_write)
+        body = json.dumps({"received": [due_word]}).encode()
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10.0
+        ) as sock, sock.makefile("rb") as reader:
+            sock.sendall(
+                raw_request("POST", "/recover/batch", body, close=True)
+            )
+            response = reader.read()  # to EOF: the server closes
+        assert writes == [response]
+        head, _, payload = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert json.loads(payload)["words"] == 1
+
+    def test_bad_json_400_is_well_formed(self, service):
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10.0
+        ) as sock, sock.makefile("rb") as reader:
+            sock.sendall(raw_request("POST", "/recover", b"{not json"))
+            status, headers, payload = read_response(reader)
+        assert status == "HTTP/1.1 400 Bad Request"
+        assert "traceparent" in headers
+        assert "not valid JSON" in json.loads(payload)["error"]
+
+    @pytest.mark.parametrize("method", ["GET", "POST"])
+    def test_unknown_path_404_is_well_formed(self, service, method):
+        body = b"{}" if method == "POST" else b""
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10.0
+        ) as sock, sock.makefile("rb") as reader:
+            sock.sendall(raw_request(method, "/nope", body))
+            status, headers, payload = read_response(reader)
+        assert status == "HTTP/1.1 404 Not Found"
+        assert int(headers["content-length"]) == len(payload)
+        assert b"/nope" in payload
+
+    def test_http_09_request_gets_a_bare_body(self, service):
+        # HTTP/0.9 replies have no status line and no headers, so
+        # send_response leaves no header buffer behind to join.
+        with socket.create_connection(
+            ("127.0.0.1", service.port), timeout=10.0
+        ) as sock, sock.makefile("rb") as reader:
+            sock.sendall(b"GET /healthz\r\n")
+            sock.shutdown(socket.SHUT_WR)  # ends the (empty) header block
+            response = reader.read()
+        assert json.loads(response)["status"] == "ok"

@@ -56,7 +56,6 @@ def sharded_service():
         port=0,
         workers=2,
         max_batch=3,
-        linger_s=0.001,
         registry=MetricsRegistry(),
         event_log=EventLog(),
     )

@@ -1,8 +1,8 @@
 """End-to-end request tracing across the sharded recovery service.
 
 The tracing tentpole's contract, pinned property-style: for every
-traced request the service retains a span tree whose five stage spans
-(`queue_wait`, `linger`, `shard_exec`, `serialize`, `respond`)
+traced request the service retains a span tree whose six stage spans
+(`parse`, `queue_wait`, `linger`, `shard_exec`, `serialize`, `respond`)
 decompose the end-to-end ``service.request`` span — contiguous,
 in order, inside the root window — and the worker-side
 ``service.shard.execute`` span crosses the process boundary with the
@@ -33,6 +33,7 @@ CONTEXT_IDS = ("none", "mcf", "bzip2")
 CODE = canonical_secded_39_32()
 
 STAGE_NAMES = (
+    "service.stage.parse",
     "service.stage.queue_wait",
     "service.stage.linger",
     "service.stage.shard_exec",
@@ -53,7 +54,6 @@ def traced_service():
         port=0,
         workers=2,
         max_batch=3,
-        linger_s=0.001,
         registry=MetricsRegistry(),
         event_log=EventLog(),
     )
@@ -179,7 +179,7 @@ def test_stage_spans_decompose_end_to_end_latency(spec, traced_service):
             for child in node["children"]:
                 assert child["parent_id"] == node["span_id"]
 
-        # Exactly the five stage spans sit under the root, in
+        # Exactly the six stage spans sit under the root, in
         # chronological order, contiguous and non-overlapping.
         stages = {c["name"]: c for c in root["children"]}
         assert sorted(stages) == sorted(STAGE_NAMES)
@@ -192,7 +192,7 @@ def test_stage_spans_decompose_end_to_end_latency(spec, traced_service):
             assert stage["end_ns"] <= root["end_ns"]
 
         # Decomposition: the stages sum to no more than the request
-        # (they tile its interior, minus parse/dispatch gaps).
+        # (they tile its interior, minus dispatch gaps).
         stage_sum = sum(stage["duration_ns"] for stage in ordered)
         assert stage_sum <= root["duration_ns"]
 
